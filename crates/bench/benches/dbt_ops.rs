@@ -12,6 +12,12 @@ use yesquel_common::DbtConfig;
 
 const SERVERS: usize = 4;
 const KEYS: u64 = 4096;
+/// Key step between consecutive lookups that share one transaction.  More
+/// than a leaf's cell count, so consecutive lookups never share a leaf, and
+/// coprime with `KEYS`, so a leaf recurs only after 62 others — more than a
+/// transaction's read cache holds.  Each lookup thus fetches its leaf from
+/// its server, as a fresh transaction's would.
+const STRIDE: u64 = 65;
 
 fn tree_cfg() -> DbtConfig {
     DbtConfig {
@@ -40,7 +46,7 @@ fn bench_point_read(c: &mut Criterion) {
         let txn = client.begin();
         let mut i = 0u64;
         b.iter(|| {
-            i = (i + 1) % KEYS;
+            i = (i + STRIDE) % KEYS;
             black_box(dbt.lookup(&txn, &bench_key(i)).unwrap())
         });
     });
@@ -61,16 +67,16 @@ fn bench_point_read(c: &mut Criterion) {
     c.bench_function("dbt/point_read_cold", |b| {
         // Cache dropped before every lookup: the search walks from the
         // root.  The invalidation happens in the untimed setup phase so the
-        // recorded number is the cold lookup alone.
-        let txn = client.begin();
+        // recorded number is the cold lookup alone.  Each lookup gets a
+        // fresh transaction, whose empty read cache holds no inner node.
         let mut i = 0u64;
         b.iter_batched(
             || {
                 engine.invalidate_cache(dbt.tree_id());
                 i = (i + 1) % KEYS;
-                bench_key(i)
+                (bench_key(i), client.begin())
             },
-            |key| black_box(dbt.lookup(&txn, &key).unwrap()),
+            |(key, txn)| black_box(dbt.lookup(&txn, &key).unwrap()),
             criterion::BatchSize::PerIteration,
         );
     });
@@ -86,12 +92,17 @@ fn bench_point_read_no_cache(c: &mut Criterion) {
     let (db, _engine, dbt) = loaded_tree(SERVERS, KEYS, cfg);
     let client = db.client();
     c.bench_function("dbt/point_read_no_cache", |b| {
-        let txn = client.begin();
+        // A fresh transaction per lookup (begun untimed): one shared
+        // transaction's read cache would serve the root and inner nodes.
         let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % KEYS;
-            black_box(dbt.lookup(&txn, &bench_key(i)).unwrap())
-        });
+        b.iter_batched(
+            || {
+                i = (i + 1) % KEYS;
+                (bench_key(i), client.begin())
+            },
+            |(key, txn)| black_box(dbt.lookup(&txn, &key).unwrap()),
+            criterion::BatchSize::PerIteration,
+        );
     });
 }
 

@@ -49,6 +49,8 @@ fn bench_get(c: &mut Criterion) {
     });
 
     c.bench_function("kv/get_hot_object", |b| {
+        // Repeated reads of one object in one transaction: every read after
+        // the first is served from the transaction's read cache (no RPC).
         let txn = client.begin();
         let obj = ObjectId::new(TREE, 7);
         b.iter(|| black_box(txn.get(obj).unwrap()));

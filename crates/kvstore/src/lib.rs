@@ -33,6 +33,12 @@
 //!   round trip.  This preserves snapshot correctness: if a transaction's
 //!   commit timestamp precedes a reader's snapshot, its locks were already
 //!   held when the reader started, so the reader cannot miss its writes.
+//!   A reader whose snapshot predates the prepare itself reads past the
+//!   lock instead: that transaction's commit timestamp is necessarily
+//!   newer than the snapshot (proof on [`store::ServerStore::get`]).
+//! * Reads at a snapshot are therefore repeatable, and a transaction reads
+//!   each object from its server once: repeats are served from a small
+//!   per-transaction cache ([`txn::READ_CACHE_CAP`] objects).
 //!
 //! The isolation level is **snapshot isolation**, exactly as stated in the
 //! paper (write-write conflicts abort; write skew is permitted).  The

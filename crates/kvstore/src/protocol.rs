@@ -145,8 +145,9 @@ pub enum KvResponse {
     /// Result of a `Get`: the value, or `None` if the object has no visible
     /// version (never written, or deleted) at the snapshot.
     Value(Option<Bytes>),
-    /// The object is currently locked by a preparing transaction; the
-    /// client should retry the read shortly.
+    /// The object is currently locked by a preparing transaction that was
+    /// prepared at or before the snapshot; the client should retry the
+    /// read shortly.
     Locked,
     /// Prepare succeeded; locks are held until `Commit` or `Abort`.
     Prepared,

@@ -32,8 +32,8 @@ use crate::store::{
 };
 
 /// One storage server: a [`ServerStore`], a handle to the timestamp oracle
-/// (used only for one-phase commits, where the server assigns the commit
-/// timestamp itself), and the reaper state.
+/// (for one-phase commits, where the server assigns the commit timestamp
+/// itself, and for stamping prepares), and the reaper state.
 pub struct KvServer {
     id: ServerId,
     store: ServerStore,
@@ -297,6 +297,9 @@ impl Service for KvServer {
                 &writes,
                 primary,
                 Duration::from_micros(lease_us.max(1)),
+                // Drawn before the ack, hence below the commit timestamp
+                // the coordinator draws once every participant acked.
+                self.oracle.next_timestamp(),
             ) {
                 Ok(PrepareOutcome::Prepared) => KvResponse::Prepared,
                 Ok(PrepareOutcome::Conflict(reason)) => KvResponse::Conflict { reason },
@@ -312,15 +315,13 @@ impl Service for KvServer {
                 start_ts,
                 writes,
             } => {
-                // The commit timestamp is drawn while the request is being
-                // processed; the store applies validation and installation
-                // atomically under its lock, so any snapshot issued after
+                // The store draws the commit timestamp under the shard
+                // guards it installs under, so any snapshot issued after
                 // this timestamp observes the installed versions.  A
                 // deduplicated retry reports the original timestamp instead.
-                let commit_ts = self.oracle.next_timestamp();
                 match self
                     .store
-                    .commit_one_phase(txn, start_ts, &writes, commit_ts)
+                    .commit_one_phase(txn, start_ts, &writes, || self.oracle.next_timestamp())
                 {
                     Ok(CommitOnePhaseOutcome::Committed(ts)) => {
                         KvResponse::Committed { commit_ts: ts }
@@ -470,7 +471,16 @@ mod tests {
             KvResponse::Prepared => {}
             other => panic!("unexpected response {other:?}"),
         }
+        // A snapshot older than the prepare reads past its lock; a newer one
+        // waits for the outcome.
         match srv.call(KvRequest::Get { obj, ts: start }) {
+            KvResponse::Value(None) => {}
+            other => panic!("unexpected response {other:?}"),
+        }
+        match srv.call(KvRequest::Get {
+            obj,
+            ts: oracle.next_timestamp(),
+        }) {
             KvResponse::Locked => {}
             other => panic!("unexpected response {other:?}"),
         }

@@ -21,10 +21,11 @@
 //! shards they touch in **ascending shard order**, which makes concurrent
 //! multi-shard validations deadlock-free.  `commit`/`abort` release locks
 //! shard by shard; a reader that catches a transaction between two shards
-//! simply sees a still-held prepare lock and retries, exactly as it would
-//! had the commit message not arrived at that server yet — per-object
-//! atomicity (the invariant snapshot isolation needs) is preserved by the
-//! per-shard critical sections.
+//! simply sees a still-held prepare lock and retries (or reads past it, when
+//! its snapshot predates the prepare — see [`ServerStore::get`]), exactly as
+//! it would had the commit message not arrived at that server yet —
+//! per-object atomicity (the invariant snapshot isolation needs) is
+//! preserved by the per-shard critical sections.
 //!
 //! ## Durability
 //!
@@ -67,7 +68,8 @@ pub const SHARD_COUNT: usize = 32;
 pub enum ReadOutcome {
     /// The visible value (or `None` if unwritten/deleted at the snapshot).
     Value(Option<Bytes>),
-    /// The object is locked by a preparing transaction; retry shortly.
+    /// The object is locked by a transaction prepared at or before the
+    /// snapshot; retry shortly.
     Locked,
 }
 
@@ -92,12 +94,15 @@ pub enum CommitOnePhaseOutcome {
     Conflict(String),
 }
 
-/// A prepare lock: the owning transaction and the value it intends to
-/// install.
+/// A prepare lock: the owning transaction, the value it intends to install,
+/// and the oracle timestamp drawn while the prepare was handled.  Snapshots
+/// older than `prepared_at` read past the lock ([`ServerStore::get`]);
+/// `0` blocks every reader.
 #[derive(Debug, Clone)]
 struct PrepareLock {
     txn: TxnId,
     staged: Option<Bytes>,
+    prepared_at: Timestamp,
 }
 
 /// Book-keeping for a transaction between its prepare and commit phases.
@@ -244,8 +249,11 @@ pub struct StoreStats {
     pub aborts: u64,
     /// Number of validation failures.
     pub conflicts: u64,
-    /// Number of reads that found a prepare lock.
+    /// Number of reads that found a prepare lock and were refused.
     pub locked_reads: u64,
+    /// Number of reads that found a prepare lock but were served the
+    /// committed version, their snapshot predating the prepare.
+    pub read_past: u64,
     /// Number of versions dropped by garbage collection.
     pub gc_dropped: u64,
     /// Number of retried or duplicated prepare/commit/abort messages that
@@ -263,6 +271,7 @@ struct StatsCells {
     aborts: AtomicU64,
     conflicts: AtomicU64,
     locked_reads: AtomicU64,
+    read_past: AtomicU64,
     gc_dropped: AtomicU64,
     dedup_hits: AtomicU64,
 }
@@ -276,6 +285,7 @@ impl StatsCells {
             aborts: self.aborts.load(Ordering::Relaxed),
             conflicts: self.conflicts.load(Ordering::Relaxed),
             locked_reads: self.locked_reads.load(Ordering::Relaxed),
+            read_past: self.read_past.load(Ordering::Relaxed),
             gc_dropped: self.gc_dropped.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
         }
@@ -402,47 +412,76 @@ impl ServerStore {
     }
 
     /// Reads `obj` at snapshot `ts`.
+    ///
+    /// A prepare lock blocks only snapshots at or after its `prepared_at`;
+    /// an older snapshot is served the committed version at `ts`.  This is
+    /// exact, not a guess about the preparing transaction's fate:
+    ///
+    /// * `prepared_at` is drawn from the deployment oracle while the server
+    ///   handles the prepare, before it acknowledges it.  The coordinator
+    ///   draws `commit_ts` from the same strictly increasing oracle only
+    ///   after every participant acknowledged, so `commit_ts > prepared_at`
+    ///   at every participant.  Hence `ts < prepared_at` implies
+    ///   `ts < commit_ts`: the transaction's writes are invisible at `ts`
+    ///   whether it commits or aborts.
+    /// * Nothing else can install a version at or below `ts` while the lock
+    ///   is held: other writers fail validation against it, and whatever
+    ///   committed before the lock was taken is already in the chain (a
+    ///   one-phase commit draws its timestamp and installs under the shard
+    ///   guard, see [`ServerStore::commit_one_phase`]).  So the answer is
+    ///   the one the reader would get after the lock is released: reads at
+    ///   a snapshot stay repeatable.
+    /// * A duplicate prepare keeps the smaller `prepared_at` (a late
+    ///   duplicate may arrive after `commit_ts` was drawn), and prepares
+    ///   restored from the log carry `0`, blocking every reader.
     pub fn get(&self, obj: ObjectId, ts: Timestamp) -> ReadOutcome {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         let shard = self.shards[self.shard_of(obj)].lock();
         match shard.objects.get(&obj) {
             None => ReadOutcome::Value(None),
-            Some(state) => {
-                if state.lock.is_some() {
+            Some(state) => match &state.lock {
+                Some(lock) if ts >= lock.prepared_at => {
                     self.stats.locked_reads.fetch_add(1, Ordering::Relaxed);
                     ReadOutcome::Locked
-                } else {
+                }
+                Some(_) => {
+                    self.stats.read_past.fetch_add(1, Ordering::Relaxed);
                     ReadOutcome::Value(state.chain.read_at(ts))
                 }
-            }
+                None => ReadOutcome::Value(state.chain.read_at(ts)),
+            },
         }
     }
 
     /// Validates and locks `writes` on behalf of transaction `txn` reading
-    /// at `start_ts`, with a generous lease and this server as primary.
-    /// Convenience wrapper used by single-store tests; the server dispatch
-    /// path goes through [`ServerStore::prepare_leased`].
+    /// at `start_ts`, with a generous lease, this server as primary, and
+    /// locks that block every reader (`prepared_at` 0).  Convenience
+    /// wrapper used by single-store tests; the server dispatch path goes
+    /// through [`ServerStore::prepare_leased`].
     pub fn prepare(
         &self,
         txn: TxnId,
         start_ts: Timestamp,
         writes: &[WriteOp],
     ) -> Result<PrepareOutcome> {
-        self.prepare_leased(txn, start_ts, writes, 0, Duration::from_secs(3600))
+        self.prepare_leased(txn, start_ts, writes, 0, Duration::from_secs(3600), 0)
     }
 
     /// Validates and locks `writes` on behalf of transaction `txn` reading
     /// at `start_ts`.  Either all writes are locked or none are.  The locks
     /// are leased: if neither `Commit` nor `Abort` arrives within `lease`,
     /// the reaper may resolve the transaction through its `primary`
-    /// participant (presumed abort).
+    /// participant (presumed abort).  `prepared_at` must be an oracle
+    /// timestamp drawn before the prepare is acknowledged; snapshots older
+    /// than it read past the locks ([`ServerStore::get`]).
     ///
     /// Idempotent under retries and duplicate deliveries: re-preparing an
-    /// already-prepared transaction refreshes its lease and reports
-    /// `Prepared`; re-preparing one that already committed reports
-    /// `Prepared` (the coordinator will proceed to a deduplicated commit);
-    /// re-preparing one that was already aborted reports a conflict so the
-    /// coordinator cannot resurrect a reaped transaction.
+    /// already-prepared transaction refreshes its lease, keeps the smaller
+    /// `prepared_at`, and reports `Prepared`; re-preparing one that already
+    /// committed reports `Prepared` (the coordinator will proceed to a
+    /// deduplicated commit); re-preparing one that was already aborted
+    /// reports a conflict so the coordinator cannot resurrect a reaped
+    /// transaction.
     ///
     /// Durable stores log the prepare — staged writes, primary, snapshot —
     /// **before** reporting `Prepared`, so a crash after the ack leaves the
@@ -456,6 +495,7 @@ impl ServerStore {
         writes: &[WriteOp],
         primary: ServerId,
         lease: Duration,
+        prepared_at: Timestamp,
     ) -> Result<PrepareOutcome> {
         match self.outcomes.lock().get(txn) {
             Some(TxnOutcome::Committed(_)) => {
@@ -486,9 +526,16 @@ impl ServerStore {
         for w in writes {
             let shard = self.guard_for(&mut guards, w.obj);
             let state = shard.objects.entry(w.obj).or_default();
+            // Validation admitted only our own lock; a duplicate keeps the
+            // earlier (smaller) `prepared_at`.
+            let prepared_at = match &state.lock {
+                Some(held) => held.prepared_at.min(prepared_at),
+                None => prepared_at,
+            };
             state.lock = Some(PrepareLock {
                 txn,
                 staged: w.value.clone(),
+                prepared_at,
             });
             locked.push(w.obj);
         }
@@ -653,9 +700,16 @@ impl ServerStore {
         Ok(CommitOutcome::Committed(commit_ts))
     }
 
-    /// Validates and installs `writes` in one step, assigning `commit_ts`.
-    /// Used by one-phase commit, where the caller obtains a commit timestamp
-    /// via the server-side oracle handle.
+    /// Validates and installs `writes` in one step, at the commit timestamp
+    /// `next_ts` draws.  Used by one-phase commit, where `next_ts` is the
+    /// server-side oracle handle.
+    ///
+    /// The timestamp is drawn only once the shard guards are held, and the
+    /// versions are installed before they drop.  Drawn earlier, a snapshot
+    /// taken in the gap would be newer than the commit yet read the old
+    /// version — and a write based on that read would then validate clean,
+    /// losing this update.  A deduplicated retry draws nothing and reports
+    /// the original timestamp.
     ///
     /// Durable stores append the record while still holding the shard
     /// guards, after validation and before installation: the guards order
@@ -668,7 +722,7 @@ impl ServerStore {
         txn: TxnId,
         start_ts: Timestamp,
         writes: &[WriteOp],
-        commit_ts: Timestamp,
+        next_ts: impl FnOnce() -> Timestamp,
     ) -> Result<CommitOnePhaseOutcome> {
         // Dedup: a retried one-phase commit (its first response was lost)
         // must report the original fate, not re-validate — re-validation
@@ -700,6 +754,7 @@ impl ServerStore {
                 return Ok(CommitOnePhaseOutcome::Conflict(reason));
             }
         }
+        let commit_ts = next_ts();
         self.wal_append(&WalRecord::CommitOnePhase {
             txn,
             commit_ts,
@@ -1004,9 +1059,12 @@ impl ServerStore {
         for w in writes {
             let mut shard = self.shards[self.shard_of(w.obj)].lock();
             let state = shard.objects.entry(w.obj).or_default();
+            // The prepare's original timestamp is not logged, so a restored
+            // lock blocks every reader.
             state.lock = Some(PrepareLock {
                 txn,
                 staged: w.value.clone(),
+                prepared_at: 0,
             });
         }
         let replaced = self.prepared.lock().insert(
@@ -1310,7 +1368,7 @@ mod tests {
     fn one_phase_commit_validates_and_installs() {
         let s = ServerStore::new();
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], 5).unwrap(),
+            s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
             CommitOnePhaseOutcome::Committed(5)
         );
         assert_eq!(
@@ -1318,7 +1376,7 @@ mod tests {
             ReadOutcome::Value(Some(Bytes::from_static(b"a")))
         );
         // Stale snapshot conflicts.
-        match s.commit_one_phase(2, 1, &[w(1, "b")], 6).unwrap() {
+        match s.commit_one_phase(2, 1, &[w(1, "b")], || 6).unwrap() {
             CommitOnePhaseOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
@@ -1326,6 +1384,112 @@ mod tests {
             s.get(obj(1), 10),
             ReadOutcome::Value(Some(Bytes::from_static(b"a")))
         );
+    }
+
+    #[test]
+    fn one_phase_commit_draws_its_timestamp_under_the_shard_guard() {
+        let s = ServerStore::new();
+        s.commit_one_phase(1, 1, &[w(1, "a")], || 2).unwrap();
+        // While the timestamp is drawn, the written object's shard is held:
+        // a reader probing it from another thread cannot get in before the
+        // new version is installed.
+        let shard = s.shard_of(obj(1));
+        let outcome = s
+            .commit_one_phase(2, 3, &[w(1, "b")], || {
+                assert!(s.shards[shard].try_lock().is_none());
+                4
+            })
+            .unwrap();
+        assert_eq!(outcome, CommitOnePhaseOutcome::Committed(4));
+    }
+
+    fn prepare_at(s: &ServerStore, txn: TxnId, writes: &[WriteOp], prepared_at: Timestamp) {
+        assert_eq!(
+            s.prepare_leased(txn, 5, writes, 0, Duration::from_secs(60), prepared_at)
+                .unwrap(),
+            PrepareOutcome::Prepared
+        );
+    }
+
+    #[test]
+    fn snapshots_older_than_the_prepare_read_past_its_lock() {
+        let s = ServerStore::new();
+        s.commit_one_phase(1, 1, &[w(1, "old")], || 2).unwrap();
+        prepare_at(&s, 7, &[w(1, "new")], 10);
+        let old = ReadOutcome::Value(Some(Bytes::from_static(b"old")));
+        assert_eq!(s.get(obj(1), 9), old);
+        assert_eq!(s.get(obj(1), 1), ReadOutcome::Value(None));
+        assert_eq!(s.get(obj(1), 10), ReadOutcome::Locked);
+        assert_eq!(s.get(obj(1), 50), ReadOutcome::Locked);
+        assert_eq!(s.stats().read_past, 2);
+        assert_eq!(s.stats().locked_reads, 2);
+        // The commit lands above `prepared_at`, so the older snapshot's
+        // answer does not change: the read was repeatable.
+        s.commit(7, 11).unwrap();
+        assert_eq!(s.get(obj(1), 9), old);
+        assert_eq!(
+            s.get(obj(1), 11),
+            ReadOutcome::Value(Some(Bytes::from_static(b"new")))
+        );
+    }
+
+    #[test]
+    fn duplicate_prepare_keeps_the_original_prepared_at() {
+        let s = ServerStore::new();
+        prepare_at(&s, 7, &[w(1, "a")], 10);
+        // A late duplicate, delivered after the commit timestamp (say 12)
+        // was drawn, must not let snapshots in 12..20 read past the lock.
+        prepare_at(&s, 7, &[w(1, "a")], 20);
+        assert_eq!(s.get(obj(1), 9), ReadOutcome::Value(None));
+        assert_eq!(s.get(obj(1), 10), ReadOutcome::Locked);
+        assert_eq!(s.get(obj(1), 15), ReadOutcome::Locked);
+        assert_eq!(s.prepared_count(), 1);
+    }
+
+    #[test]
+    fn replayed_prepares_block_every_reader() {
+        let writes = vec![WalWrite {
+            obj: obj(1),
+            value: Some(Bytes::from_static(b"staged")),
+        }];
+        let from_log = ServerStore::new();
+        from_log.replay(
+            &[
+                WalRecord::Load {
+                    obj: obj(1),
+                    ts: 0,
+                    value: Bytes::from_static(b"seed"),
+                },
+                WalRecord::Prepare {
+                    txn: 7,
+                    start_ts: 5,
+                    primary: 0,
+                    writes: writes.clone(),
+                },
+            ],
+            Duration::from_secs(60),
+        );
+        let from_checkpoint = ServerStore::new();
+        from_checkpoint.replay(
+            &[WalRecord::Checkpoint(Box::new(CheckpointSnapshot {
+                versions: vec![(obj(1), vec![(0, Some(Bytes::from_static(b"seed")))])],
+                counters: Vec::new(),
+                outcomes: Vec::new(),
+                prepared: vec![PreparedImage {
+                    txn: 7,
+                    start_ts: 5,
+                    primary: 0,
+                    writes,
+                }],
+            }))],
+            Duration::from_secs(60),
+        );
+        for s in [&from_log, &from_checkpoint] {
+            assert_eq!(s.prepared_count(), 1);
+            assert_eq!(s.get(obj(1), 0), ReadOutcome::Locked);
+            assert_eq!(s.get(obj(1), 1), ReadOutcome::Locked);
+            assert_eq!(s.stats().read_past, 0);
+        }
     }
 
     #[test]
@@ -1421,7 +1585,7 @@ mod tests {
     fn lease_expiry_feeds_the_reaper_and_blocks_resurrection() {
         let s = ServerStore::new();
         assert_eq!(
-            s.prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_micros(1))
+            s.prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_micros(1), 6)
                 .unwrap(),
             PrepareOutcome::Prepared
         );
@@ -1435,7 +1599,7 @@ mod tests {
         // ...after which neither a late prepare nor a late commit of the
         // same transaction may resurrect it.
         match s
-            .prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_secs(10))
+            .prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_secs(10), 8)
             .unwrap()
         {
             PrepareOutcome::Conflict(_) => {}
@@ -1449,23 +1613,26 @@ mod tests {
     fn one_phase_commit_retry_reports_original_fate() {
         let s = ServerStore::new();
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], 5).unwrap(),
+            s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
             CommitOnePhaseOutcome::Committed(5)
         );
-        // Retry with a fresh timestamp: the original fate is reported and
+        // A retry draws no timestamp: the original fate is reported and
         // nothing is re-installed.
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], 9).unwrap(),
+            s.commit_one_phase(1, 1, &[w(1, "a")], || unreachable!(
+                "dedup draws no timestamp"
+            ))
+            .unwrap(),
             CommitOnePhaseOutcome::Committed(5)
         );
         assert_eq!(s.version_count(), 1);
         // A conflicted one-phase commit is remembered as aborted.
-        match s.commit_one_phase(2, 1, &[w(1, "b")], 10).unwrap() {
+        match s.commit_one_phase(2, 1, &[w(1, "b")], || 10).unwrap() {
             CommitOnePhaseOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
         assert_eq!(s.outcome(2), Some(TxnOutcome::Aborted));
-        match s.commit_one_phase(2, 1, &[w(1, "b")], 11).unwrap() {
+        match s.commit_one_phase(2, 1, &[w(1, "b")], || 11).unwrap() {
             CommitOnePhaseOutcome::Conflict(_) => {}
             other => panic!("expected conflict on retry, got {other:?}"),
         }
@@ -1476,7 +1643,7 @@ mod tests {
         let s = ServerStore::with_outcome_retention(16);
         for i in 0..100u64 {
             assert_eq!(
-                s.commit_one_phase(i + 1, 2 * i + 1, &[w(i, "v")], 2 * i + 2)
+                s.commit_one_phase(i + 1, 2 * i + 1, &[w(i, "v")], || 2 * i + 2)
                     .unwrap(),
                 CommitOnePhaseOutcome::Committed(2 * i + 2)
             );
@@ -1540,7 +1707,8 @@ mod tests {
                     let txn = o + 1;
                     let ts = 2 * o + 1;
                     assert_eq!(
-                        s.commit_one_phase(txn, ts, &[w(o, "v")], ts + 1).unwrap(),
+                        s.commit_one_phase(txn, ts, &[w(o, "v")], || ts + 1)
+                            .unwrap(),
                         CommitOnePhaseOutcome::Committed(ts + 1)
                     );
                 }
@@ -1573,7 +1741,7 @@ mod tests {
                     let commit = ts.fetch_add(1, Ordering::SeqCst);
                     let txn = t * 1000 + i + 1;
                     match s
-                        .commit_one_phase(txn, start, &[w(7, "contended")], commit)
+                        .commit_one_phase(txn, start, &[w(7, "contended")], || commit)
                         .unwrap()
                     {
                         CommitOnePhaseOutcome::Committed(_) => wins.fetch_add(1, Ordering::SeqCst),

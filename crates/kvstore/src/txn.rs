@@ -29,6 +29,8 @@ use crate::snapshot::SnapshotTracker;
 pub(crate) struct KvHot {
     pub(crate) txn_started: Arc<Counter>,
     pub(crate) get_rpcs: Arc<Counter>,
+    /// Reads answered by a transaction's read cache (no RPC sent).
+    pub(crate) get_cache_hits: Arc<Counter>,
     pub(crate) readonly_commits: Arc<Counter>,
     pub(crate) txn_committed: Arc<Counter>,
     pub(crate) txn_conflicts: Arc<Counter>,
@@ -49,6 +51,7 @@ impl KvHot {
         KvHot {
             txn_started: stats.counter("kv.txn_started"),
             get_rpcs: stats.counter("kv.get_rpcs"),
+            get_cache_hits: stats.counter("kv.get_cache_hits"),
             readonly_commits: stats.counter("kv.readonly_commits"),
             txn_committed: stats.counter("kv.txn_committed"),
             txn_conflicts: stats.counter("kv.txn_conflicts"),
@@ -225,11 +228,82 @@ pub enum TxnState {
     Aborted,
 }
 
+/// Capacity, in objects, of a transaction's snapshot read cache.  Small on
+/// purpose: the repeats it serves (an UPDATE reading a leaf and then
+/// rewriting it, an INSERT probing an index leaf and then inserting into
+/// it) are a few objects apart, and a long scan must not pin every leaf it
+/// walks.
+pub const READ_CACHE_CAP: usize = 32;
+
+/// One cached read: the object and its value at the snapshot.
+type CachedRead = (ObjectId, Option<Bytes>);
+
+/// Values a transaction already read from the servers, oldest overwritten
+/// first.  Exact under snapshot isolation: a read at a fixed snapshot is
+/// repeatable (see `ServerStore::get`), so a second Get of the same object
+/// could only return the same answer.
+///
+/// The entries form a ring of [`READ_CACHE_CAP`] slots: slot 0 is `first`,
+/// slots 1.. are `rest`.  The first is inline because most transactions
+/// read one object from the servers (a warm point read or single-row
+/// update), and those must not pay an allocation; a hit test is a short
+/// linear scan.
+struct ReadCache {
+    first: Option<CachedRead>,
+    rest: Vec<CachedRead>,
+    /// Entries ever inserted; the next one goes to slot
+    /// `inserted % READ_CACHE_CAP`.
+    inserted: usize,
+}
+
+impl ReadCache {
+    fn new() -> Self {
+        ReadCache {
+            first: None,
+            rest: Vec::new(),
+            inserted: 0,
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    fn get(&self, obj: ObjectId) -> Option<&Option<Bytes>> {
+        self.first
+            .iter()
+            .chain(&self.rest)
+            .find(|(o, _)| *o == obj)
+            .map(|(_, v)| v)
+    }
+
+    fn insert(&mut self, obj: ObjectId, value: Option<Bytes>) {
+        let slot = self.inserted % READ_CACHE_CAP;
+        self.inserted += 1;
+        match slot.checked_sub(1) {
+            None => self.first = Some((obj, value)),
+            Some(i) if i < self.rest.len() => self.rest[i] = (obj, value),
+            Some(_) => self.rest.push((obj, value)),
+        }
+    }
+}
+
+/// A transaction's client-side state, behind one lock: its buffered writes
+/// and its cached reads.  A read consults `writes` first, so a buffered
+/// write always wins over a cached read of the same object.
+struct Buffers {
+    writes: BTreeMap<ObjectId, Option<Bytes>>,
+    reads: ReadCache,
+}
+
 /// A transaction with snapshot-isolation semantics.
 ///
 /// Reads observe the snapshot defined by the start timestamp plus the
 /// transaction's own buffered writes; writes are buffered locally and sent
-/// to the storage servers only at commit.
+/// to the storage servers only at commit.  Each object is read from its
+/// server once: repeats are answered from a small per-transaction cache
+/// (at most [`READ_CACHE_CAP`] objects).
 ///
 /// All access methods take `&self`: the write buffer is internally
 /// synchronized so that the layers above (tree cursors, SQL operators) can
@@ -241,7 +315,7 @@ pub struct Txn {
     id: TxnId,
     start_ts: Timestamp,
     state: Mutex<TxnState>,
-    writes: Mutex<BTreeMap<ObjectId, Option<Bytes>>>,
+    buffers: Mutex<Buffers>,
     /// Number of Get RPCs issued (used by the latency-table experiment).
     read_rpcs: AtomicU64,
     snapshot_registered: Mutex<bool>,
@@ -258,7 +332,10 @@ impl Txn {
             id,
             start_ts,
             state: Mutex::new(TxnState::Active),
-            writes: Mutex::new(BTreeMap::new()),
+            buffers: Mutex::new(Buffers {
+                writes: BTreeMap::new(),
+                reads: ReadCache::new(),
+            }),
             read_rpcs: AtomicU64::new(0),
             snapshot_registered: Mutex::new(true),
         }
@@ -282,16 +359,16 @@ impl Txn {
     /// True if the transaction has not written anything (such transactions
     /// commit without any communication).
     pub fn is_read_only(&self) -> bool {
-        self.writes.lock().is_empty()
+        self.buffers.lock().writes.is_empty()
     }
 
     /// Number of objects written so far.
     pub fn write_count(&self) -> usize {
-        self.writes.lock().len()
+        self.buffers.lock().writes.len()
     }
 
     /// Number of read RPCs issued so far (diagnostics; reads served from the
-    /// local write buffer do not count).
+    /// local write buffer or the read cache do not count).
     pub fn read_rpcs(&self) -> u64 {
         self.read_rpcs.load(Ordering::Relaxed)
     }
@@ -307,10 +384,19 @@ impl Txn {
     }
 
     /// Reads `obj` at this transaction's snapshot (observing its own writes).
+    /// Only the first read of an object sends a Get; later ones are served
+    /// from the read cache while the object stays in it.
     pub fn get(&self, obj: ObjectId) -> Result<Option<Bytes>> {
         self.check_active()?;
-        if let Some(v) = self.writes.lock().get(&obj) {
-            return Ok(v.clone());
+        {
+            let buffers = self.buffers.lock();
+            if let Some(v) = buffers.writes.get(&obj) {
+                return Ok(v.clone());
+            }
+            if let Some(v) = buffers.reads.get(obj) {
+                self.core.hot.get_cache_hits.inc();
+                return Ok(v.clone());
+            }
         }
         let _get_span = span(SpanKind::KvGet);
         let server = self.core.home(obj);
@@ -326,7 +412,11 @@ impl Txn {
                 },
                 self.core.cfg.rpc_max_attempts,
             )? {
-                KvResponse::Value(v) => return Ok(v),
+                KvResponse::Value(v) => {
+                    self.buffers.lock().reads.insert(obj, v.clone());
+                    return Ok(v);
+                }
+                // Never cached: the next read retries the server.
                 KvResponse::Locked => {
                     attempts += 1;
                     self.core.stats.counter("kv.get_lock_retries").inc();
@@ -350,7 +440,7 @@ impl Txn {
     /// Buffers a write of `value` to `obj`.
     pub fn put(&self, obj: ObjectId, value: impl Into<Bytes>) -> Result<()> {
         self.check_active()?;
-        self.writes.lock().insert(obj, Some(value.into()));
+        self.buffers.lock().writes.insert(obj, Some(value.into()));
         Ok(())
     }
 
@@ -361,7 +451,7 @@ impl Txn {
     /// path: either every copy becomes visible or none does.
     pub fn put_many(&self, objs: impl IntoIterator<Item = ObjectId>, value: Bytes) -> Result<()> {
         self.check_active()?;
-        let mut writes = self.writes.lock();
+        let writes = &mut self.buffers.lock().writes;
         for obj in objs {
             writes.insert(obj, Some(value.clone()));
         }
@@ -371,7 +461,7 @@ impl Txn {
     /// Buffers a deletion of `obj`.
     pub fn delete(&self, obj: ObjectId) -> Result<()> {
         self.check_active()?;
-        self.writes.lock().insert(obj, None);
+        self.buffers.lock().writes.insert(obj, None);
         Ok(())
     }
 
@@ -385,7 +475,7 @@ impl Txn {
         self.check_active()?;
         self.release_snapshot();
 
-        let writes = std::mem::take(&mut *self.writes.lock());
+        let writes = std::mem::take(&mut self.buffers.lock().writes);
         if writes.is_empty() {
             *self.state.lock() = TxnState::Committed;
             self.core.hot.readonly_commits.inc();
@@ -805,6 +895,102 @@ mod tests {
             .unwrap();
         let _ = t.get(ObjectId::new(1, 3)).unwrap(); // served from write buffer
         assert_eq!(t.read_rpcs(), 2);
+        t.commit().unwrap();
+    }
+
+    /// Commits `value` at `obj` in a transaction of its own.
+    fn seed(db: &KvDatabase, obj: ObjectId, value: &'static [u8]) {
+        let t = db.client().begin();
+        t.put(obj, Bytes::from_static(value)).unwrap();
+        t.commit().unwrap();
+    }
+
+    #[test]
+    fn second_read_of_an_object_sends_no_rpc() {
+        let db = KvDatabase::with_servers(2);
+        let obj = ObjectId::new(1, 1);
+        seed(&db, obj, b"v");
+        let hits = db.stats().counter("kv.get_cache_hits");
+        let t = db.client().begin();
+        assert_eq!(t.get(obj).unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!((t.read_rpcs(), hits.get()), (1, 0));
+        assert_eq!(t.get(obj).unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!((t.read_rpcs(), hits.get()), (1, 1));
+        // An absent object is cached too.
+        assert_eq!(t.get(ObjectId::new(1, 2)).unwrap(), None);
+        assert_eq!(t.get(ObjectId::new(1, 2)).unwrap(), None);
+        assert_eq!((t.read_rpcs(), hits.get()), (2, 2));
+        t.commit().unwrap();
+    }
+
+    #[test]
+    fn buffered_writes_win_over_cached_reads() {
+        let db = KvDatabase::with_servers(1);
+        let (a, b) = (ObjectId::new(1, 1), ObjectId::new(1, 2));
+        seed(&db, a, b"old");
+        seed(&db, b, b"old");
+        let t = db.client().begin();
+        assert!(t.get(a).unwrap().is_some());
+        assert!(t.get(b).unwrap().is_some());
+        t.put(a, Bytes::from_static(b"new")).unwrap();
+        t.delete(b).unwrap();
+        assert_eq!(t.get(a).unwrap().as_deref(), Some(&b"new"[..]));
+        assert_eq!(t.get(b).unwrap(), None);
+        assert_eq!(t.read_rpcs(), 2);
+        t.commit().unwrap();
+    }
+
+    #[test]
+    fn locked_replies_are_never_cached() {
+        let mut cfg = yesquel_common::YesquelConfig::with_servers(1);
+        cfg.kv.lock_acquire_retries = 2;
+        cfg.kv.lock_backoff_us = 1;
+        let db = KvDatabase::new(cfg);
+        let obj = ObjectId::new(1, 1);
+        seed(&db, obj, b"v");
+        let t = db.client().begin();
+        // A prepare restored from the log blocks every snapshot, this
+        // transaction's included.
+        let store = db.cluster().server(0).expect("server 0").store();
+        let staged = WriteOp {
+            obj,
+            value: Some(Bytes::from_static(b"staged")),
+        };
+        store.prepare(999, t.start_ts(), &[staged]).unwrap();
+        assert!(matches!(t.get(obj), Err(Error::LockTimeout(_))));
+        let rpcs = t.read_rpcs();
+        assert_eq!(rpcs, 3, "one attempt plus two retries");
+        store.abort(999).unwrap();
+        // The refused reads left nothing behind: the next read asks the
+        // server again, and only its answer is cached.
+        assert_eq!(t.get(obj).unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(t.read_rpcs(), rpcs + 1);
+        assert_eq!(t.get(obj).unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(t.read_rpcs(), rpcs + 1);
+        t.commit().unwrap();
+    }
+
+    #[test]
+    fn a_full_scan_stays_within_the_cache_cap() {
+        let db = KvDatabase::with_servers(2);
+        let n = 4 * READ_CACHE_CAP as u64;
+        let t = db.client().begin();
+        for oid in 0..n {
+            t.put(ObjectId::new(1, oid), Bytes::from_static(b"row"))
+                .unwrap();
+        }
+        t.commit().unwrap();
+        let t = db.client().begin();
+        for oid in 0..n {
+            assert!(t.get(ObjectId::new(1, oid)).unwrap().is_some());
+            assert!(t.buffers.lock().reads.len() <= READ_CACHE_CAP);
+        }
+        assert_eq!(t.read_rpcs(), n);
+        // The newest reads are still cached; the oldest were evicted.
+        let _ = t.get(ObjectId::new(1, n - 1)).unwrap();
+        assert_eq!(t.read_rpcs(), n);
+        let _ = t.get(ObjectId::new(1, 0)).unwrap();
+        assert_eq!(t.read_rpcs(), n + 1);
         t.commit().unwrap();
     }
 }

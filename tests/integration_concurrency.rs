@@ -138,3 +138,108 @@ fn concurrent_readers_and_writers_on_one_tree() {
     assert_eq!(dbt.count(&txn).unwrap(), total);
     txn.commit().unwrap();
 }
+
+#[test]
+fn readers_never_see_half_a_two_server_transfer() {
+    // Atomic-visibility oracle: transfers move money between accounts on
+    // different servers (so every commit is 2PC, with a window in which
+    // both participants hold prepare locks) while read-only transactions
+    // sum every balance at their snapshot.  Readers whose snapshot predates
+    // a prepare read past its locks; every sum must still be the constant
+    // total, i.e. no snapshot ever includes one half of a transfer.
+    let db = Arc::new(KvDatabase::with_servers(4));
+    let accounts: Arc<Vec<ObjectId>> = Arc::new((0..8).map(|oid| ObjectId::new(4, oid)).collect());
+    let servers: std::collections::HashSet<_> = accounts.iter().map(|a| a.home_server(4)).collect();
+    assert!(servers.len() >= 2, "accounts must span servers");
+    const START: u64 = 1_000;
+    let total = START * accounts.len() as u64;
+    {
+        let t = db.client().begin();
+        for a in accounts.iter() {
+            t.put(*a, START.to_be_bytes().to_vec()).unwrap();
+        }
+        t.commit().unwrap();
+    }
+    fn balance(v: &[u8]) -> u64 {
+        u64::from_be_bytes(v[..8].try_into().expect("8-byte balance"))
+    }
+
+    let transfers = Arc::new(AtomicU64::new(0));
+    let mut writers = Vec::new();
+    for w in 0..3u64 {
+        let (db, accounts, transfers) = (
+            Arc::clone(&db),
+            Arc::clone(&accounts),
+            Arc::clone(&transfers),
+        );
+        writers.push(std::thread::spawn(move || {
+            let client = db.client();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ (w + 1);
+            for _ in 0..150 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let from = accounts[(x % 8) as usize];
+                let to = accounts[((x >> 8) % 8) as usize];
+                if from.home_server(4) == to.home_server(4) {
+                    continue;
+                }
+                let amount = 1 + (x >> 16) % 50;
+                let moved = client.run_txn(|txn| {
+                    let a = balance(&txn.get(from)?.expect("account"));
+                    let b = balance(&txn.get(to)?.expect("account"));
+                    let amount = amount.min(a);
+                    txn.put(from, (a - amount).to_be_bytes().to_vec())?;
+                    txn.put(to, (b + amount).to_be_bytes().to_vec())?;
+                    Ok(())
+                });
+                if moved.is_ok() {
+                    transfers.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }));
+    }
+    let mut readers = Vec::new();
+    for _ in 0..3 {
+        let (db, accounts) = (Arc::clone(&db), Arc::clone(&accounts));
+        readers.push(std::thread::spawn(move || {
+            let client = db.client();
+            let mut sums = 0u64;
+            for _ in 0..300 {
+                let txn = client.begin();
+                let mut sum = 0u64;
+                for a in accounts.iter() {
+                    // Yield between reads so transfers prepare and commit
+                    // in the middle of the snapshot's reads.
+                    std::thread::yield_now();
+                    sum += balance(&txn.get(*a).unwrap().expect("account"));
+                }
+                assert_eq!(
+                    sum,
+                    total,
+                    "snapshot {} saw a partial transfer",
+                    txn.start_ts()
+                );
+                txn.commit().unwrap();
+                sums += 1;
+            }
+            sums
+        }));
+    }
+    for w in writers {
+        w.join().unwrap();
+    }
+    let sums: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert_eq!(sums, 900);
+    assert!(transfers.load(Ordering::SeqCst) > 0);
+    let (read_past, locked): (u64, u64) = db
+        .cluster()
+        .servers()
+        .iter()
+        .map(|s| (s.store().stats().read_past, s.store().stats().locked_reads))
+        .fold((0, 0), |(p, l), (dp, dl)| (p + dp, l + dl));
+    println!(
+        "{} transfers, {sums} sums, {read_past} reads past a prepare lock, {locked} refused",
+        transfers.load(Ordering::SeqCst)
+    );
+}

@@ -1176,3 +1176,82 @@ fn autocommit_statements_retry_conflicts_to_success() {
     }
     assert_eq!(rows_i64(&y, "SELECT n FROM c"), vec![vec![100]]);
 }
+
+#[test]
+fn warm_dml_reads_each_leaf_once() {
+    use yesquel::common::config::{SplitMode, YesquelConfig};
+    // No background maintenance worker: splits run inside the inserting
+    // transaction, and nothing else reads through the shared counters.
+    let mut cfg = YesquelConfig::with_servers(4);
+    cfg.dbt.split_mode = SplitMode::Synchronous;
+    cfg.dbt.load_splits = false;
+    cfg.dbt.replicate_hot_nodes = false;
+    let y = Yesquel::open_with(cfg);
+    y.execute_script(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, v INT, name TEXT);
+         CREATE UNIQUE INDEX by_name ON t (name);",
+    )
+    .unwrap();
+    for i in 1..=300i64 {
+        y.execute(
+            "INSERT INTO t (v, name) VALUES (?, ?)",
+            &[Value::Int(0), Value::Text(format!("n{i:04}"))],
+        )
+        .unwrap();
+    }
+    let stats = y.db().stats();
+    let (gets, splits) = (stats.counter("kv.get_rpcs"), stats.counter("dbt.splits"));
+    let gets_of = |stmt: &dyn Fn()| {
+        let (g0, s0) = (gets.get(), splits.get());
+        stmt();
+        assert_eq!(splits.get(), s0, "a split reads nodes too");
+        gets.get() - g0
+    };
+
+    // Autocommit read-modify-write: the leaf read by the WHERE clause is
+    // the one rewritten, so it is fetched once (the parent fetched it
+    // twice).
+    let bump = y.prepare("UPDATE t SET v = v + 1 WHERE id = ?").unwrap();
+    for id in [1, 300] {
+        bump.execute(params![id]).unwrap(); // warms the inner-node cache
+    }
+    assert_eq!(gets_of(&|| drop(bump.execute(params![1]).unwrap())), 1);
+
+    // A transfer: two rows 300 ids apart (different leaves), one fetch
+    // each.
+    let s = y.session();
+    let transfer = || {
+        s.execute("BEGIN", &[]).unwrap();
+        for id in [1, 300] {
+            s.execute("UPDATE t SET v = v + 1 WHERE id = ?", &[Value::Int(id)])
+                .unwrap();
+        }
+        s.execute("COMMIT", &[]).unwrap();
+    };
+    assert_eq!(gets_of(&transfer), 2);
+
+    // INSERT with a unique index: probing the table leaf for the new rowid
+    // and the index leaf for the key, then inserting into both, fetches
+    // each leaf once: 2 Gets, where the parent sent 4.
+    let ins = y.prepare("INSERT INTO t (v, name) VALUES (?, ?)").unwrap();
+    for i in 0..4 {
+        let name = format!("n{:04}x", 100 + 37 * i);
+        // Warm the descents to the last table leaf and the key's index leaf.
+        y.execute("SELECT v FROM t WHERE id = 1000000", &[])
+            .unwrap();
+        y.execute(
+            "SELECT v FROM t WHERE name = ?",
+            &[Value::Text(name.clone())],
+        )
+        .unwrap();
+        assert_eq!(
+            gets_of(&|| drop(ins.execute(params![1, name.as_str()]).unwrap())),
+            2
+        );
+    }
+    assert_eq!(
+        rows_i64(&y, "SELECT v FROM t WHERE id = 1"),
+        vec![vec![3]],
+        "every update stuck"
+    );
+}
