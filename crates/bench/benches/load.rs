@@ -93,7 +93,7 @@ fn main() {
 
     if smoke {
         // Tiny cells across all three fsync policies: the point is that
-        // every code path (WAL group commit, batching, parallel fan-out)
+        // every code path (WAL group commit, batching, 2PC rounds)
         // executes, not that the numbers mean anything.
         for policy in WAL_POLICIES {
             let mut spec = LoadSpec::new("smoke", 2, 2, cell);
@@ -133,7 +133,7 @@ fn main() {
     // service time on one worker per server).  Each server serves 2k
     // requests/s; as client threads grow, a small deployment saturates
     // while a larger one keeps scaling — the paper's scale-out curve.
-    // The parallel fan-out has real waits to overlap here.
+    // The 2PC rounds have real waits to overlap here.
     for &servers in &[1usize, 2, 4, 8] {
         for &threads in &[1usize, 2, 4, 8, 16] {
             let mut spec = LoadSpec::new("scaling", threads, servers, cell);

@@ -3,7 +3,7 @@
 //! The criterion benches measure single-threaded operation latency; this
 //! module measures what they cannot: throughput and tail latency under
 //! **concurrent** clients, which is where group commit, request batching,
-//! and the parallel 2PC fan-out actually earn their keep.  `N` client
+//! and the 2PC request rounds actually earn their keep.  `N` client
 //! threads each run a closed loop (issue an operation, wait for it, issue
 //! the next) against one in-process deployment of `M` storage servers,
 //! drawing operations from a weighted mix of op classes:
@@ -14,14 +14,14 @@
 //! * `kv_1pc` — a raw KV transaction writing objects on one server
 //!   (one-phase commit),
 //! * `kv_2pc` — a raw KV transaction writing objects on two distinct
-//!   servers (two-phase commit, exercising the parallel prepare fan-out).
+//!   servers (two-phase commit: a prepare round, then the commits).
 //!
 //! Contention is controlled by `key_pool`: KV writes pick their objects
 //! uniformly from a pool of that many keys, so a small pool forces
 //! write-write conflicts (visible as `kv.txn_conflicts` in the report).
 //! Every run reports ops/sec, exact nearest-rank p50/p99/p999 latency per
 //! op class, the deployment counters that explain the numbers (fsyncs,
-//! group sizes, batched requests, parallel fan-outs, replica reads and
+//! group sizes, batched requests, two-phase commits, replica reads and
 //! promotions), and — since PR 10 — every non-empty latency histogram
 //! (log-bucketed, relative error ≤ 1/64) so each cell carries full
 //! per-subsystem distributions, not just per-class percentiles.  The
@@ -39,7 +39,7 @@ use yesquel_common::config::SplitMode;
 use yesquel_common::stats::HistogramSummary;
 use yesquel_common::tempdir::TempDir;
 use yesquel_common::{
-    CommitFanout, DbtConfig, NetConfig, ObjectId, RpcBatchConfig, WalFsyncPolicy, YesquelConfig,
+    DbtConfig, NetConfig, ObjectId, RpcBatchConfig, WalFsyncPolicy, YesquelConfig,
 };
 use yesquel_kv::KvDatabase;
 use yesquel_rpc::TransportKind;
@@ -142,8 +142,6 @@ pub struct LoadSpec {
     pub net: Option<NetConfig>,
     /// Optional request-batching decorator configuration.
     pub rpc_batch: Option<RpcBatchConfig>,
-    /// 2PC fan-out strategy.
-    pub commit_fanout: CommitFanout,
     /// Seed for the per-thread operation generators.
     pub seed: u64,
     /// DBT configuration override.  `None` keeps the harness baseline
@@ -186,7 +184,6 @@ impl LoadSpec {
             transport: TransportKind::Direct,
             net: None,
             rpc_batch: None,
-            commit_fanout: CommitFanout::Auto,
             seed: 0x10ad,
             dbt: None,
             hot_select_range: None,
@@ -287,8 +284,8 @@ pub fn latency_summary(samples: &mut [u64]) -> (u64, u64, u64) {
 }
 
 /// The counters worth reporting alongside throughput: they explain *why*
-/// a cell is fast or slow (fsyncs amortised, requests coalesced, prepares
-/// overlapped, conflicts suffered).
+/// a cell is fast or slow (fsyncs amortised, requests coalesced, commits
+/// that needed two phases, conflicts suffered).
 const REPORT_COUNTERS: [&str; 14] = [
     "wal.appends",
     "wal.fsyncs",
@@ -296,7 +293,7 @@ const REPORT_COUNTERS: [&str; 14] = [
     "wal.group_solo",
     "kv.txn_conflicts",
     "kv.txn_retries",
-    "kv.prepare_parallel_fanouts",
+    "kv.commit_2pc",
     "rpc.batches",
     "rpc.batched_requests",
     "rpc.batch_linger_waits",
@@ -329,7 +326,6 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
             cfg.dbt.replicate_hot_nodes = false;
         }
     }
-    cfg.kv.commit_fanout = spec.commit_fanout;
     cfg.rpc_batch = spec.rpc_batch;
     if let Some(net) = &spec.net {
         cfg.net = net.clone();
@@ -800,9 +796,7 @@ mod tests {
     #[test]
     fn tiny_load_run_completes_and_counts_ops() {
         // A sub-100ms smoke of the whole closed loop: every op class, two
-        // threads, two servers, WAL in group mode, batching on, parallel
-        // fan-out forced so the path is exercised even on the direct
-        // transport.
+        // threads, two servers, WAL in group mode, batching on.
         let mut spec = LoadSpec::new("unit", 2, 2, Duration::from_millis(60));
         spec.key_pool = 64;
         spec.wal = Some(WalFsyncPolicy::Group { window_us: 50 });
@@ -811,14 +805,13 @@ mod tests {
             max_batch: 8,
             linger_us: 0,
         });
-        spec.commit_fanout = CommitFanout::Parallel;
         let r = run_load(&spec);
         assert!(r.ops > 0, "closed loop made no progress: {r:?}");
         assert_eq!(r.classes.len(), 5, "all mixed classes present");
-        let fanouts = r
+        let commits_2pc = r
             .counters
             .iter()
-            .find(|(n, _)| n == "kv.prepare_parallel_fanouts")
+            .find(|(n, _)| n == "kv.commit_2pc")
             .map(|&(_, v)| v)
             .unwrap();
         let batched = r
@@ -827,10 +820,10 @@ mod tests {
             .find(|(n, _)| n == "rpc.batched_requests")
             .map(|&(_, v)| v)
             .unwrap();
-        // 2PC ops ran on two servers with Parallel fan-out, so the
-        // counter must move; batching is best-effort (two threads may
-        // never collide in a 20us window), so only sanity-check presence.
-        assert!(fanouts > 0, "parallel prepare fan-out never engaged");
+        // 2PC ops ran on two servers, so every one issued a prepare round;
+        // batching is best-effort (two threads may never collide in a 20us
+        // window), so only sanity-check presence.
+        assert!(commits_2pc > 0, "no two-server commit ran");
         let _ = batched;
     }
 

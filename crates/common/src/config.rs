@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness sweeps these knobs to regenerate the paper's
 //! figures (number of servers, DBT technique ablations, network model), and
-//! the ablation experiments (F4, F8 in DESIGN.md) are expressed purely as
+//! the ablations (`DbtConfig::ablation_*`) are expressed purely as
 //! configurations of [`DbtConfig`].
 
 // NOTE: configurations were previously serde-derived; the offline build has
@@ -59,9 +59,6 @@ pub struct DbtConfig {
     /// Number of replicas a promoted hot node gains, capped at
     /// `num_servers - 1` at promotion time (one copy per distinct server).
     pub replica_factor: usize,
-    /// Maximum number of search restarts before an operation reports an
-    /// internal error (guards against livelock under adversarial staleness).
-    pub max_search_restarts: usize,
 }
 
 impl Default for DbtConfig {
@@ -77,7 +74,6 @@ impl Default for DbtConfig {
             migrate_hot_nodes: true,
             replicate_hot_nodes: true,
             replica_factor: 2,
-            max_search_restarts: 64,
         }
     }
 }
@@ -159,23 +155,6 @@ pub enum WalFsyncPolicy {
     Off,
 }
 
-/// How the 2PC coordinator issues its per-participant RPC rounds (the
-/// prepare fan-out, the best-effort secondary commits, and abort fan-outs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitFanout {
-    /// Ask the transport whether parallelism pays
-    /// (`Transport::fanout_profitable`): worker-thread transports and
-    /// latency-sleeping or fault-injecting ones say yes; the plain direct
-    /// transport says no, keeping the single-threaded hot path free of
-    /// thread-pool overhead.
-    #[default]
-    Auto,
-    /// Always visit participants one at a time (the pre-PR-8 behaviour).
-    Serial,
-    /// Always fan out concurrently, regardless of transport.
-    Parallel,
-}
-
 /// Configuration of the transactional key-value store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvConfig {
@@ -189,9 +168,6 @@ pub struct KvConfig {
     /// Microseconds to back off between lock-acquire retries (only used by
     /// the threaded transport; the direct transport retries immediately).
     pub lock_backoff_us: u64,
-    /// If true, single-server transactions skip the prepare phase and commit
-    /// in one round trip (the standard one-phase-commit optimisation).
-    pub one_phase_commit: bool,
     /// Maximum number of attempts for one RPC (first try plus retries)
     /// before the client gives up with [`crate::Error::Timeout`] /
     /// [`crate::Error::Unavailable`].  Every request is safe to retry:
@@ -232,8 +208,6 @@ pub struct KvConfig {
     /// Fsync policy of the write-ahead log; ignored when `wal_dir` is
     /// `None`.
     pub wal_fsync: WalFsyncPolicy,
-    /// How the 2PC coordinator's per-participant RPC rounds are issued.
-    pub commit_fanout: CommitFanout,
 }
 
 impl Default for KvConfig {
@@ -242,7 +216,6 @@ impl Default for KvConfig {
             gc_keep_versions: 8,
             lock_acquire_retries: 100,
             lock_backoff_us: 50,
-            one_phase_commit: true,
             rpc_max_attempts: 5,
             rpc_backoff_us: 100,
             rpc_backoff_cap_us: 10_000,
@@ -252,7 +225,6 @@ impl Default for KvConfig {
             txn_outcome_retention: 4_096,
             wal_dir: None,
             wal_fsync: WalFsyncPolicy::Group { window_us: 100 },
-            commit_fanout: CommitFanout::Auto,
         }
     }
 }

@@ -30,11 +30,6 @@ impl KvClient {
         cfg: KvConfig,
         stats: StatsRegistry,
     ) -> Self {
-        // Enough workers that one commit round can cover every peer (the
-        // calling thread takes one participant itself), without letting a
-        // wide deployment spawn an unbounded thread count.  Lazy: no thread
-        // exists until the first parallel round.
-        let fanout = crate::fanout::FanoutPool::new(transport.num_servers().clamp(1, 8));
         let hot = KvHot::resolve(&stats);
         KvClient {
             core: Arc::new(ClientCore {
@@ -45,7 +40,6 @@ impl KvClient {
                 stats,
                 hot,
                 retry_salt: std::sync::atomic::AtomicU64::new(0),
-                fanout,
             }),
         }
     }

@@ -26,8 +26,7 @@
 //!   server validates, assigns the commit timestamp and installs versions
 //!   in one round trip).
 //! * **Read-only transactions commit with no communication at all** — a
-//!   property the paper calls out, and which the latency table experiment
-//!   (T1 in DESIGN.md) checks.
+//!   property the paper calls out (`examples/quickstart.rs` prints it).
 //! * Readers that encounter an object locked by a preparing transaction
 //!   retry briefly: the lock window only spans the coordinator's commit
 //!   round trip.  This preserves snapshot correctness: if a transaction's
@@ -53,7 +52,6 @@
 
 pub mod client;
 pub mod database;
-pub(crate) mod fanout;
 pub mod mvcc;
 pub mod oracle;
 pub mod protocol;

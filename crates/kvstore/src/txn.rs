@@ -7,16 +7,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, SpanKind, TraceCounter};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::timeutil::sleep_backoff;
-use yesquel_common::{CommitFanout, Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
+use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_rpc::Transport;
 
-use crate::fanout::FanoutPool;
 use crate::oracle::TimestampOracle;
 use crate::protocol::{KvRequest, KvResponse, WriteOp};
 use crate::server::KvServer;
@@ -40,7 +38,7 @@ pub(crate) struct KvHot {
     /// Commit-phase latencies, recorded only while `Obs::timing_on`:
     /// `prepare` is the whole phase-one round, `decide` the commit-point RPC
     /// at the primary (1PC charges its single round here too), `apply` the
-    /// best-effort secondary fan-out.
+    /// best-effort secondary commit round.
     pub(crate) commit_prepare_us: Arc<Histogram>,
     pub(crate) commit_decide_us: Arc<Histogram>,
     pub(crate) commit_apply_us: Arc<Histogram>,
@@ -77,9 +75,6 @@ pub(crate) struct ClientCore {
     /// Monotone salt for retry-backoff jitter, so concurrent RPCs from one
     /// client spread out while staying deterministic per deployment.
     pub(crate) retry_salt: AtomicU64,
-    /// Worker pool for the coordinator's parallel RPC rounds; lazy, so it
-    /// costs nothing until the first parallel fan-out.
-    pub(crate) fanout: FanoutPool,
 }
 
 impl ClientCore {
@@ -92,129 +87,115 @@ impl ClientCore {
         obj.home_server(self.num_servers())
     }
 
-    /// Issues one RPC with a deadline-and-retry policy: availability-class
-    /// failures ([`Error::Timeout`], [`Error::Unavailable`]) are retried up
-    /// to `max_attempts` times with exponential backoff and jitter; every
-    /// other error propagates immediately.
-    ///
-    /// Retrying is safe for every request in the protocol: reads, GC and
-    /// status queries are idempotent, allocation merely skips ids, and
-    /// prepare / commit / abort are deduplicated server-side by transaction
-    /// id.  On exhaustion, if *any* attempt timed out the returned error is
-    /// a `Timeout` (the operation may have been applied — a commit path must
-    /// escalate to [`Error::Indeterminate`]); otherwise the operation was
-    /// definitely not applied and the last `Unavailable` is returned.
+    /// Issues one RPC with the deadline-and-retry policy of
+    /// [`call_round_retry`](Self::call_round_retry): a round of one.
     pub(crate) fn call_retry(
         &self,
         server: ServerId,
         req: KvRequest,
         max_attempts: usize,
     ) -> Result<KvResponse> {
+        let mut out = [unsent()];
+        self.retry_into(&[(server, req)], &mut out, max_attempts);
+        let [result] = out;
+        result
+    }
+
+    /// Issues a round of RPCs (see [`Transport::call_round`]) with a
+    /// deadline-and-retry policy, returning one result per request in
+    /// request order.  Requests that fail with an availability-class error
+    /// ([`Error::Timeout`], [`Error::Unavailable`]) are resent, together as
+    /// one round, up to `max_attempts` times in all, with one exponential,
+    /// jittered backoff per attempt; every other result is final.
+    ///
+    /// Retrying is safe for every request in the protocol: reads, GC and
+    /// status queries are idempotent, allocation merely skips ids, and
+    /// prepare / commit / abort are deduplicated server-side by transaction
+    /// id.  On exhaustion, if *any* attempt of a request timed out its
+    /// error is a `Timeout` (the operation may have been applied — a commit
+    /// path must escalate to [`Error::Indeterminate`]); otherwise the
+    /// operation was definitely not applied and its last `Unavailable` is
+    /// returned.
+    pub(crate) fn call_round_retry(
+        &self,
+        reqs: &[(ServerId, KvRequest)],
+        max_attempts: usize,
+    ) -> Vec<Result<KvResponse>> {
+        let mut out: Vec<Result<KvResponse>> = reqs.iter().map(|_| unsent()).collect();
+        self.retry_into(reqs, &mut out, max_attempts);
+        out
+    }
+
+    /// The retry loop of [`call_round_retry`](Self::call_round_retry):
+    /// each attempt sends the requests whose `out` entry is still an
+    /// availability error, which every entry is before the first.
+    fn retry_into(
+        &self,
+        reqs: &[(ServerId, KvRequest)],
+        out: &mut [Result<KvResponse>],
+        max_attempts: usize,
+    ) {
         let _rpc_span = span(SpanKind::Rpc);
-        count(TraceCounter::Rpcs, 1);
-        let max = max_attempts.max(1);
+        count(TraceCounter::Rpcs, reqs.len() as u64);
+        let failing = |result: &Result<KvResponse>| matches!(result, Err(e) if e.is_availability());
         let mut salt: Option<u64> = None;
-        let mut saw_timeout = false;
-        let mut last: Option<Error> = None;
-        let mut req = Some(req);
-        for attempt in 0..max {
-            // The final attempt consumes the request; earlier ones clone it.
-            let this_req = if attempt + 1 < max {
-                req.clone()
-                    .expect("request present until the final attempt")
-            } else {
-                req.take().expect("request present until the final attempt")
-            };
-            match self.transport.call(server, this_req) {
-                Ok(resp) => return Ok(resp),
-                Err(e) if e.is_availability() => {
-                    if matches!(e, Error::Timeout(_)) {
-                        saw_timeout = true;
-                        self.stats.counter("rpc.timeouts").inc();
-                    }
-                    last = Some(e);
-                    if attempt + 1 < max {
-                        self.stats.counter("rpc.retries").inc();
-                        count(TraceCounter::Retries, 1);
-                        // Drawn lazily: the fault-free fast path never
-                        // touches the shared salt counter.
-                        let salt = *salt
-                            .get_or_insert_with(|| self.retry_salt.fetch_add(1, Ordering::Relaxed));
-                        sleep_backoff(
-                            attempt,
-                            self.cfg.rpc_backoff_us,
-                            self.cfg.rpc_backoff_cap_us,
-                            salt,
-                        );
-                    }
-                }
-                Err(e) => return Err(e),
+        for attempt in 0..max_attempts.max(1) {
+            let pending = out.iter().filter(|r| failing(r)).count();
+            if pending == 0 {
+                break;
             }
-        }
-        let last = last.expect("loop ran at least once and only exits retryably");
-        if saw_timeout && !matches!(last, Error::Timeout(_)) {
-            // An earlier attempt may have been applied even though the final
-            // one failed differently; report the in-doubt flavour.
-            Err(Error::Timeout(format!(
-                "server {server}: {last} (an earlier attempt timed out)"
-            )))
-        } else {
-            Err(last)
+            if attempt > 0 {
+                self.stats.counter("rpc.retries").add(pending as u64);
+                count(TraceCounter::Retries, pending as u64);
+                // Drawn lazily: the fault-free fast path never touches the
+                // shared salt counter.
+                let salt =
+                    *salt.get_or_insert_with(|| self.retry_salt.fetch_add(1, Ordering::Relaxed));
+                sleep_backoff(
+                    attempt - 1,
+                    self.cfg.rpc_backoff_us,
+                    self.cfg.rpc_backoff_cap_us,
+                    salt,
+                );
+            }
+            if pending == 1 {
+                // A lone request goes without the round's vectors: every
+                // point read takes this path.
+                let i = out.iter().position(failing).expect("one request pending");
+                let (server, req) = &reqs[i];
+                let result = self.transport.call(*server, req.clone());
+                self.settle(&mut out[i], *server, result);
+                continue;
+            }
+            let sent: Vec<usize> = (0..out.len()).filter(|&i| failing(&out[i])).collect();
+            let round = sent.iter().map(|&i| reqs[i].clone()).collect();
+            for (i, result) in sent.into_iter().zip(self.transport.call_round(round)) {
+                self.settle(&mut out[i], reqs[i].0, result);
+            }
         }
     }
 
-    /// Whether a coordinator round over `participants` servers should fan
-    /// out concurrently: the configuration decides, with `Auto` delegating
-    /// to the transport's own judgement of whether independent calls
-    /// actually overlap (see [`yesquel_rpc::Transport::fanout_profitable`]).
-    pub(crate) fn parallel_fanout(&self, participants: usize) -> bool {
-        participants > 1
-            && match self.cfg.commit_fanout {
-                CommitFanout::Serial => false,
-                CommitFanout::Parallel => true,
-                CommitFanout::Auto => self.transport.fanout_profitable(),
-            }
+    /// Records one attempt's `result` for a request to `server` in `slot`,
+    /// which holds the request's previous outcome.
+    fn settle(&self, slot: &mut Result<KvResponse>, server: ServerId, result: Result<KvResponse>) {
+        if matches!(result, Err(Error::Timeout(_))) {
+            self.stats.counter("rpc.timeouts").inc();
+        }
+        *slot = match (result, &*slot) {
+            // An earlier attempt may have been applied even though this one
+            // was refused: keep the in-doubt flavour.
+            (Err(e @ Error::Unavailable(_)), Err(Error::Timeout(_))) => Err(Error::Timeout(
+                format!("server {server}: {e} (an earlier attempt timed out)"),
+            )),
+            (result, _) => result,
+        };
     }
 }
 
-/// Issues one `(server, request)` RPC per entry concurrently: all but the
-/// last are handed to the fan-out pool, the last runs on the calling thread
-/// (so a round never needs more worker threads than it has peers), and the
-/// call returns once every result is in, sorted by server id.
-///
-/// If a pool worker dies mid-round (a panic in the transport stack) its
-/// entry is simply missing from the result; callers that need every
-/// participant accounted for must check the length.
-pub(crate) fn fanout_calls(
-    core: &Arc<ClientCore>,
-    reqs: Vec<(ServerId, KvRequest)>,
-    max_attempts: usize,
-) -> Vec<(ServerId, Result<KvResponse>)> {
-    let n = reqs.len();
-    let (tx, rx) = bounded::<(ServerId, Result<KvResponse>)>(n);
-    let mut reqs = reqs.into_iter();
-    let Some((last_server, last_req)) = reqs.next_back() else {
-        return Vec::new();
-    };
-    for (server, req) in reqs {
-        let job_core = Arc::clone(core);
-        let tx = tx.clone();
-        core.fanout.submit(Box::new(move || {
-            let resp = job_core.call_retry(server, req, max_attempts);
-            let _ = tx.send((server, resp));
-        }));
-    }
-    drop(tx);
-    let mut out = Vec::with_capacity(n);
-    out.push((
-        last_server,
-        core.call_retry(last_server, last_req, max_attempts),
-    ));
-    while let Ok(pair) = rx.recv() {
-        out.push(pair);
-    }
-    out.sort_by_key(|(s, _)| *s);
-    out
+/// The outcome of a request not sent yet: an availability error, so the
+/// retry loop's first attempt sends it.
+fn unsent() -> Result<KvResponse> {
+    Err(Error::Unavailable(String::new()))
 }
 
 /// Lifecycle state of a transaction.
@@ -508,7 +489,7 @@ impl Txn {
         // Retries are deduplicated server-side, so a lost response does not
         // double-apply; only full exhaustion with a possible application
         // (timeout) escalates to `Indeterminate`.
-        if participants.len() == 1 && self.core.cfg.one_phase_commit {
+        if participants.len() == 1 {
             let (server, writes) = by_server.into_iter().next().expect("one participant");
             self.core.hot.commit_1pc.inc();
             let t0 = timing.then(clock::now);
@@ -562,116 +543,81 @@ impl Txn {
             };
         }
 
-        // Phase one: prepare at every participant.  The lowest-numbered
-        // participant is the primary — the 2PC commit point the reaper
-        // protocol revolves around (see `crate::server`).
+        // Phase one: prepare at every participant, as one round.  The
+        // lowest-numbered participant is the primary — the 2PC commit point
+        // the reaper protocol revolves around (see `crate::server`).
         self.core.hot.commit_2pc.inc();
         let prepare_t0 = timing.then(clock::now);
         let primary = participants[0];
-        let parallel = self.core.parallel_fanout(participants.len());
-        let prepare_req = |writes: Vec<WriteOp>| KvRequest::Prepare {
-            txn: self.id,
-            start_ts: self.start_ts,
-            writes,
-            primary,
-            lease_us: self.core.cfg.prepare_lease_us,
-        };
-        let outcomes: Vec<(ServerId, Result<KvResponse>)> = if parallel {
-            // All prepares in flight at once; the round costs its slowest
-            // participant instead of the sum.  Server-side nothing changes:
-            // each participant still validates, locks, and leases its own
-            // slice exactly as in the sequential round.
-            self.core.stats.counter("kv.prepare_parallel_fanouts").inc();
-            let reqs = by_server
-                .into_iter()
-                .map(|(server, ws)| (server, prepare_req(ws)))
-                .collect();
-            fanout_calls(&self.core, reqs, self.core.cfg.rpc_max_attempts)
-        } else {
-            // Sequential round, stopping at the first failure so later
-            // participants are never locked for a doomed transaction.
-            let mut outcomes = Vec::with_capacity(by_server.len());
-            for (server, ws) in by_server {
-                let resp =
-                    self.core
-                        .call_retry(server, prepare_req(ws), self.core.cfg.rpc_max_attempts);
-                let failed = !matches!(resp, Ok(KvResponse::Prepared));
-                outcomes.push((server, resp));
-                if failed {
-                    break;
-                }
-            }
-            outcomes
-        };
+        let prepares: Vec<_> = by_server
+            .into_iter()
+            .map(|(server, writes)| {
+                let prepare = KvRequest::Prepare {
+                    txn: self.id,
+                    start_ts: self.start_ts,
+                    writes,
+                    primary,
+                    lease_us: self.core.cfg.prepare_lease_us,
+                };
+                (server, prepare)
+            })
+            .collect();
+        let outcomes = self
+            .core
+            .call_round_retry(&prepares, self.core.cfg.rpc_max_attempts);
         if let Some(t0) = prepare_t0 {
             self.core
                 .hot
                 .commit_prepare_us
                 .record(clock::elapsed_us(t0));
         }
-        // Judge the round in server order, so the reported failure matches
-        // what the sequential round would have surfaced first.
-        let all_prepared = outcomes.len() == participants.len()
-            && outcomes
-                .iter()
-                .all(|(_, r)| matches!(r, Ok(KvResponse::Prepared)));
-        if !all_prepared {
-            for (server, resp) in outcomes {
-                match resp {
-                    Ok(KvResponse::Prepared) => {}
-                    Ok(KvResponse::Conflict { reason }) => {
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        self.core.hot.txn_conflicts.inc();
-                        count(TraceCounter::Conflicts, 1);
-                        return Err(Error::Conflict(reason));
-                    }
-                    Ok(KvResponse::ServerError { message }) => {
-                        // The participant could not make the prepare durable,
-                        // so it holds no locks for us; nothing can have
-                        // committed.
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        return Err(Error::Io(message));
-                    }
-                    Ok(other) => {
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        return Err(Error::Internal(format!(
-                            "unexpected prepare response: {other:?}"
-                        )));
-                    }
-                    Err(e) => {
-                        // Coordinator deadline: a participant stayed
-                        // unreachable through the retry budget.  No commit
-                        // was sent, so the transaction cannot have committed
-                        // anywhere — abort the others (best-effort; the
-                        // reaper collects whatever the aborts miss) and
-                        // report a clean retryable failure.
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        self.core.stats.counter("kv.prepare_deadline_aborts").inc();
-                        return Err(if e.is_availability() {
-                            Error::Unavailable(format!(
-                                "prepare of txn {} at server {server} failed ({e}); \
-                                 transaction aborted",
-                                self.id
-                            ))
-                        } else {
-                            e
-                        });
-                    }
+        // Judge the round in server order: the first failure is reported.
+        for (&server, resp) in participants.iter().zip(outcomes) {
+            match resp {
+                Ok(KvResponse::Prepared) => {}
+                Ok(KvResponse::Conflict { reason }) => {
+                    self.abort_participants(&participants);
+                    *self.state.lock() = TxnState::Aborted;
+                    self.core.hot.txn_conflicts.inc();
+                    count(TraceCounter::Conflicts, 1);
+                    return Err(Error::Conflict(reason));
+                }
+                Ok(KvResponse::ServerError { message }) => {
+                    // The participant could not make the prepare durable,
+                    // so it holds no locks for us; nothing can have
+                    // committed.
+                    self.abort_participants(&participants);
+                    *self.state.lock() = TxnState::Aborted;
+                    return Err(Error::Io(message));
+                }
+                Ok(other) => {
+                    self.abort_participants(&participants);
+                    *self.state.lock() = TxnState::Aborted;
+                    return Err(Error::Internal(format!(
+                        "unexpected prepare response: {other:?}"
+                    )));
+                }
+                Err(e) => {
+                    // Coordinator deadline: a participant stayed
+                    // unreachable through the retry budget.  No commit was
+                    // sent, so the transaction cannot have committed
+                    // anywhere — abort the others (best-effort; the reaper
+                    // collects whatever the aborts miss) and report a clean
+                    // retryable failure.
+                    self.abort_participants(&participants);
+                    *self.state.lock() = TxnState::Aborted;
+                    self.core.stats.counter("kv.prepare_deadline_aborts").inc();
+                    return Err(if e.is_availability() {
+                        Error::Unavailable(format!(
+                            "prepare of txn {} at server {server} failed ({e}); \
+                             transaction aborted",
+                            self.id
+                        ))
+                    } else {
+                        e
+                    });
                 }
             }
-            // Every collected outcome was `Prepared`, yet a participant is
-            // missing (a fan-out worker died): the transaction's locks may
-            // be partially held, so abort cleanly.
-            self.abort_participants(&participants);
-            *self.state.lock() = TxnState::Aborted;
-            return Err(Error::Internal(format!(
-                "prepare round of txn {} lost a participant outcome",
-                self.id
-            )));
         }
 
         // All participants prepared: the transaction is committed as soon as
@@ -737,46 +683,28 @@ impl Txn {
             }
         };
 
-        // Phase two, secondaries: best-effort, fanned out concurrently when
-        // the prepares were (the outcome no longer depends on these calls).
-        // The transaction is durably committed at the primary; a secondary
-        // that misses its commit will adopt it from the primary through the
-        // reaper.
-        let secondary_commits: Vec<(ServerId, KvRequest)> = participants
+        // Phase two, secondaries: best-effort, as one round (the outcome no
+        // longer depends on these calls).  The transaction is durably
+        // committed at the primary; a secondary that misses its commit will
+        // adopt it from the primary through the reaper.
+        let secondary_commits: Vec<_> = participants[1..]
             .iter()
-            .filter(|&&s| s != primary)
             .map(|&s| {
-                (
-                    s,
-                    KvRequest::Commit {
-                        txn: self.id,
-                        commit_ts,
-                    },
-                )
+                let commit = KvRequest::Commit {
+                    txn: self.id,
+                    commit_ts,
+                };
+                (s, commit)
             })
             .collect();
         let apply_t0 = timing.then(clock::now);
-        let results = if parallel && secondary_commits.len() > 1 {
-            fanout_calls(
-                &self.core,
-                secondary_commits,
-                self.core.cfg.rpc_max_attempts,
-            )
-        } else {
-            secondary_commits
-                .into_iter()
-                .map(|(s, req)| {
-                    (
-                        s,
-                        self.core.call_retry(s, req, self.core.cfg.rpc_max_attempts),
-                    )
-                })
-                .collect()
-        };
+        let results = self
+            .core
+            .call_round_retry(&secondary_commits, self.core.cfg.rpc_max_attempts);
         if let Some(t0) = apply_t0 {
             self.core.hot.commit_apply_us.record(clock::elapsed_us(t0));
         }
-        for (_, resp) in results {
+        for resp in results {
             if !matches!(resp, Ok(KvResponse::Committed { .. })) {
                 // Lost or refused: the reaper will converge this
                 // participant.  The commit itself already succeeded.
@@ -791,22 +719,18 @@ impl Txn {
         Ok(commit_ts)
     }
 
-    /// Best-effort abort fan-out used when a prepare round fails.  Abort is
-    /// idempotent and deduplicated server-side, and participants that miss
-    /// the message are cleaned up by the prepare-lease reaper.  Fanned out
-    /// concurrently on transports where calls block (a failed prepare round
-    /// under faults would otherwise serialise several full retry budgets).
+    /// Best-effort abort round used when a commit fails after its prepares
+    /// went out.  Abort is idempotent and deduplicated server-side, and
+    /// participants that miss the message are cleaned up by the
+    /// prepare-lease reaper.
     fn abort_participants(&self, participants: &[ServerId]) {
-        let abort = |s: ServerId| (s, KvRequest::Abort { txn: self.id });
-        if self.core.parallel_fanout(participants.len()) {
-            let reqs = participants.iter().map(|&s| abort(s)).collect();
-            let _ = fanout_calls(&self.core, reqs, self.core.cfg.rpc_max_attempts);
-        } else {
-            for &s in participants {
-                let (s, req) = abort(s);
-                let _ = self.core.call_retry(s, req, self.core.cfg.rpc_max_attempts);
-            }
-        }
+        let aborts: Vec<_> = participants
+            .iter()
+            .map(|&s| (s, KvRequest::Abort { txn: self.id }))
+            .collect();
+        let _ = self
+            .core
+            .call_round_retry(&aborts, self.core.cfg.rpc_max_attempts);
     }
 
     /// Aborts the transaction, discarding its buffered writes.
@@ -967,6 +891,50 @@ mod tests {
         assert_eq!(t.read_rpcs(), rpcs + 1);
         assert_eq!(t.get(obj).unwrap().as_deref(), Some(&b"v"[..]));
         assert_eq!(t.read_rpcs(), rpcs + 1);
+        t.commit().unwrap();
+    }
+
+    #[test]
+    fn a_round_resends_only_its_failed_request() {
+        use yesquel_rpc::{FaultPlan, TransportKind};
+        let cfg = yesquel_common::YesquelConfig::with_servers(2);
+        // Server 1 rejects one message while down; the next one restarts it
+        // (the restarting message counts as the second reject) and goes
+        // through.
+        let plan = FaultPlan {
+            restart_after_rejects: Some(2),
+            ..FaultPlan::healthy()
+        };
+        let db =
+            KvDatabase::with_faults(cfg, TransportKind::Direct, vec![FaultPlan::healthy(), plan]);
+        let objs: Vec<ObjectId> = (0..16).map(|o| ObjectId::new(1, o)).collect();
+        let a = *objs.iter().find(|o| o.home_server(2) == 0).unwrap();
+        let b = *objs.iter().find(|o| o.home_server(2) == 1).unwrap();
+        let requests = |s: usize| {
+            db.stats()
+                .counter(&format!("rpc.server.{s}.requests"))
+                .get()
+        };
+        let rejects = db.stats().counter("rpc.fault.crash_reject");
+        db.faults().unwrap().crash(1);
+        let (a0, b0) = (requests(0), requests(1));
+
+        let t = db.client().begin();
+        t.put(a, Bytes::from_static(b"a")).unwrap();
+        t.put(b, Bytes::from_static(b"b")).unwrap();
+        t.commit()
+            .expect("the retried prepare lets the commit through");
+
+        assert_eq!(rejects.get(), 1, "server 1 rejected one prepare");
+        assert_eq!(db.stats().counter("rpc.retries").get(), 1);
+        // Server 0 saw its prepare once (only the failed request was
+        // resent) and then the commit; server 1 the retried prepare and
+        // its commit.
+        assert_eq!(requests(0) - a0, 2);
+        assert_eq!(requests(1) - b0, 2);
+        let t = db.client().begin();
+        assert_eq!(t.get(a).unwrap().as_deref(), Some(&b"a"[..]));
+        assert_eq!(t.get(b).unwrap().as_deref(), Some(&b"b"[..]));
         t.commit().unwrap();
     }
 

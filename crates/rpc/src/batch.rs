@@ -1,20 +1,26 @@
 //! Request batching: coalescing same-server requests into one frame.
 //!
 //! [`BatchingTransport`] is the RPC-plane analogue of the write-ahead log's
-//! group commit.  The first caller to find a server's queue idle becomes the
-//! batch leader: it waits a small window for concurrent callers to pile
-//! their requests in, then ships the whole group to the inner transport as
-//! one multi-request frame.  One transport call — one network-model round
-//! trip, one queue handoff on a threaded transport — carries many logical
-//! requests, amortising per-message costs exactly as one fsync amortises
-//! over a commit group.
+//! group commit.  A request round (see [`Transport::call_round`]) becomes
+//! the batch leader of every server in it whose queue is idle, and parks as
+//! a follower behind the leader of every server that already has one.  A
+//! leader waits a small window for concurrent callers to pile their
+//! requests in, then ships each led server's group as one multi-request
+//! frame, all frames of the round together as one inner round.  One frame —
+//! one network-model round trip, one queue handoff on a threaded transport
+//! — carries many logical requests, amortising per-message costs exactly as
+//! one fsync amortises over a commit group.
+//!
+//! A round ships every frame it leads before it waits on any reply it is
+//! parked for, so rounds that lead and follow each other on different
+//! servers always make progress.
 //!
 //! The decorator composes below [`crate::FaultyTransport`]: faults are drawn
 //! per *logical* message (a dropped request is dropped before it can join a
 //! batch, a duplicate joins as its own logical message), so chaos tests keep
 //! their per-message semantics while survivors still coalesce.  A batch of
 //! one is sent bare — no envelope, no overhead — which keeps single-threaded
-//! callers at exactly one inner call per request.
+//! callers at exactly one inner request per request.
 
 use std::sync::Arc;
 
@@ -108,137 +114,155 @@ impl<S: BatchableService> BatchingTransport<S> {
         }
     }
 
-    /// Ships one group: `mine` (the leader's own request, first in the
-    /// frame) plus the parked followers.  Distributes each follower's
-    /// response — or a clone of the frame-level error — onto its reply
-    /// channel, and returns the leader's own result.
-    fn ship(
-        &self,
-        server: ServerId,
-        mine: S::Request,
-        followers: Vec<Parked<S>>,
-    ) -> Result<S::Response> {
-        let timing = self.registry.obs().timing_on();
-        if followers.is_empty() {
-            self.solo.inc();
-            if timing {
-                self.occupancy.record(1);
-            }
-            return self.inner.call(server, mine);
+    /// Unwraps a frame's envelope response into its `total` per-request
+    /// results.  If the whole frame failed (dropped, server down,
+    /// malformed), every request in it shares its fate.
+    fn split(total: usize, resp: Result<S::Response>) -> Vec<Result<S::Response>> {
+        let resps = resp.and_then(|resp| match S::split_batch(resp) {
+            Some(resps) if resps.len() == total => Ok(resps),
+            Some(resps) => Err(Error::Internal(format!(
+                "batch of {total} answered with {} responses",
+                resps.len()
+            ))),
+            None => Err(Error::Internal(
+                "batch answered with a non-batch response".into(),
+            )),
+        });
+        match resps {
+            Ok(resps) => resps.into_iter().map(Ok).collect(),
+            Err(e) => (0..total).map(|_| Err(e.clone())).collect(),
         }
-        let total = followers.len() + 1;
-        if timing {
-            self.occupancy.record(total as u64);
+    }
+
+    /// Waits out the collection window of the servers this round leads:
+    /// one `window`, then, if no led server gained a follower, up to one
+    /// `linger` more (Nagle-style, polling in slices).  Lingering trades the
+    /// leader's latency for fewer frames under trickling concurrency; off by
+    /// default (`linger_us = 0`).
+    fn collect(&self, led: &[(usize, ServerId, S::Request)]) {
+        if !self.window.is_zero() {
+            std::thread::sleep(self.window);
         }
-        let mut reqs = Vec::with_capacity(total);
-        reqs.push(mine);
-        let mut replies = Vec::with_capacity(followers.len());
-        for p in followers {
-            reqs.push(p.req);
-            replies.push(p.reply);
-        }
-        self.batches.inc();
-        self.batched_requests.add(total as u64);
-        let outcome: Result<Vec<S::Response>> = match self.inner.call(server, S::make_batch(reqs)) {
-            Ok(resp) => match S::split_batch(resp) {
-                Some(resps) if resps.len() == total => Ok(resps),
-                Some(resps) => Err(Error::Internal(format!(
-                    "batch of {total} answered with {} responses",
-                    resps.len()
-                ))),
-                None => Err(Error::Internal(
-                    "batch answered with a non-batch response".into(),
-                )),
-            },
-            Err(e) => Err(e),
+        let gained_follower = || {
+            led.iter()
+                .any(|&(_, s, _)| !self.queues[s].lock().parked.is_empty())
         };
-        match outcome {
-            Ok(mut resps) => {
-                // First response is the leader's; the rest pair off with the
-                // followers in parking order.
-                let rest = resps.split_off(1);
-                for (reply, resp) in replies.into_iter().zip(rest) {
-                    let _ = reply.send(Ok(resp));
-                }
-                Ok(resps.pop().expect("leader response present"))
+        if self.linger.is_zero() || gained_follower() {
+            return;
+        }
+        self.linger_waits.inc();
+        let deadline = std::time::Instant::now() + self.linger;
+        let slice = (self.linger / 8).max(std::time::Duration::from_micros(5));
+        loop {
+            let now = std::time::Instant::now();
+            if now >= deadline {
+                break;
             }
-            Err(e) => {
-                // The whole frame failed (dropped, server down, malformed):
-                // every logical request shares its fate.
-                for reply in replies {
-                    let _ = reply.send(Err(e.clone()));
-                }
-                Err(e)
+            std::thread::sleep(slice.min(deadline - now));
+            if gained_follower() {
+                break;
             }
         }
     }
 }
 
 impl<S: BatchableService> Transport<S> for BatchingTransport<S> {
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
-        let Some(queue) = self.queues.get(server) else {
-            return self.inner.call(server, req);
-        };
-        {
-            let mut q = queue.lock();
-            if q.leader_active {
-                if q.parked.len() + 1 < self.max_batch {
-                    // A leader is collecting: park behind it and wait for
-                    // our share of its frame.
-                    let (tx, rx) = bounded(1);
-                    q.parked.push(Parked { req, reply: tx });
-                    drop(q);
-                    return rx
-                        .recv()
-                        .map_err(|_| Error::Internal("batch leader vanished".into()))?;
+    /// Leads every server of the round that has no collecting leader and
+    /// parks behind the leader of every other one.  After the window it
+    /// ships each led server's frame — its own request first, then the
+    /// followers in parking order — plus any bare requests as one inner
+    /// round, and only then waits for the replies it is parked on.  Because
+    /// every round ships what it leads before it waits, two rounds that
+    /// lead and follow each other on two servers cannot deadlock.
+    fn call_round(&self, reqs: Vec<(ServerId, S::Request)>) -> Vec<Result<S::Response>> {
+        let mut out: Vec<Option<Result<S::Response>>> = (0..reqs.len()).map(|_| None).collect();
+        let (mut led, mut parked) = (Vec::new(), Vec::new());
+        // The inner round, and per inner request its slot in `out` and the
+        // replies of the followers that travel in its frame.
+        let (mut wire, mut shipped) = (Vec::new(), Vec::new());
+        for (i, (server, req)) in reqs.into_iter().enumerate() {
+            // Unknown server: sent bare, so the inner transport produces
+            // its error.
+            let mut q = match self.queues.get(server) {
+                Some(queue) => queue.lock(),
+                None => {
+                    wire.push((server, req));
+                    shipped.push((i, Vec::new()));
+                    continue;
                 }
+            };
+            if !q.leader_active {
+                q.leader_active = true;
+                led.push((i, server, req));
+            } else if q.parked.len() + 1 < self.max_batch {
+                let (tx, rx) = bounded(1);
+                q.parked.push(Parked { req, reply: tx });
+                parked.push((i, rx));
+            } else {
                 // The forming frame is full: send bare rather than stall
                 // behind a frame this request cannot join.
-                drop(q);
                 self.solo.inc();
-                return self.inner.call(server, req);
-            }
-            q.leader_active = true;
-        }
-        // Leader: give concurrent callers the window to pile in, then drain
-        // whatever arrived and ship it as one frame.
-        if !self.window.is_zero() {
-            std::thread::sleep(self.window);
-        }
-        // Nagle-style linger: if the window closed with nobody parked, stay
-        // leader a little longer (polling in slices up to `linger`) rather
-        // than concede immediately to a solo send.  Trades the leader's
-        // latency for fewer frames under trickling concurrency; off by
-        // default (`linger_us = 0`).
-        if !self.linger.is_zero() && queue.lock().parked.is_empty() {
-            self.linger_waits.inc();
-            let deadline = std::time::Instant::now() + self.linger;
-            let slice = (self.linger / 8).max(std::time::Duration::from_micros(5));
-            loop {
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                std::thread::sleep(slice.min(deadline - now));
-                if !queue.lock().parked.is_empty() {
-                    break;
-                }
+                wire.push((server, req));
+                shipped.push((i, Vec::new()));
             }
         }
-        let followers = {
-            let mut q = queue.lock();
-            q.leader_active = false;
-            std::mem::take(&mut q.parked)
+        if !led.is_empty() {
+            self.collect(&led);
+        }
+        let timing = self.registry.obs().timing_on();
+        for (i, server, mine) in led {
+            let followers = {
+                let mut q = self.queues[server].lock();
+                q.leader_active = false;
+                std::mem::take(&mut q.parked)
+            };
+            let total = followers.len() + 1;
+            if timing {
+                self.occupancy.record(total as u64);
+            }
+            if followers.is_empty() {
+                self.solo.inc();
+                wire.push((server, mine));
+                shipped.push((i, Vec::new()));
+                continue;
+            }
+            self.batches.inc();
+            self.batched_requests.add(total as u64);
+            let (reqs, replies): (Vec<_>, Vec<_>) =
+                followers.into_iter().map(|p| (p.req, p.reply)).unzip();
+            let frame = std::iter::once(mine).chain(reqs).collect();
+            wire.push((server, S::make_batch(frame)));
+            shipped.push((i, replies));
+        }
+        let resps = if wire.is_empty() {
+            Vec::new()
+        } else {
+            self.inner.call_round(wire)
         };
-        self.ship(server, req, followers)
+        for ((i, replies), resp) in shipped.into_iter().zip(resps) {
+            if replies.is_empty() {
+                out[i] = Some(resp);
+                continue;
+            }
+            let mut results = Self::split(replies.len() + 1, resp).into_iter();
+            out[i] = results.next();
+            for (reply, result) in replies.into_iter().zip(results) {
+                let _ = reply.send(result);
+            }
+        }
+        for (i, rx) in parked {
+            out[i] = Some(
+                rx.recv()
+                    .unwrap_or_else(|_| Err(Error::Internal("batch leader vanished".into()))),
+            );
+        }
+        out.into_iter()
+            .map(|r| r.expect("every request of the round was answered"))
+            .collect()
     }
 
     fn num_servers(&self) -> usize {
         self.inner.num_servers()
-    }
-
-    fn fanout_profitable(&self) -> bool {
-        self.inner.fanout_profitable()
     }
 }
 
@@ -253,6 +277,8 @@ mod tests {
     /// first element; counts inner calls so tests can observe coalescing.
     struct Echo {
         calls: AtomicU64,
+        /// Every request received, frames included.
+        frames: Mutex<Vec<Vec<u64>>>,
     }
 
     const TAG: u64 = u64::MAX;
@@ -262,6 +288,7 @@ mod tests {
         type Response = Vec<u64>;
         fn call(&self, req: Vec<u64>) -> Vec<u64> {
             self.calls.fetch_add(1, Ordering::SeqCst);
+            self.frames.lock().push(req.clone());
             req
         }
     }
@@ -298,12 +325,26 @@ mod tests {
         window_us: u64,
         linger_us: u64,
     ) -> (Arc<BatchingTransport<Echo>>, Arc<Echo>, StatsRegistry) {
+        let (t, mut servers, reg) = deployment_of(1, window_us, linger_us);
+        (t, servers.pop().expect("one server"), reg)
+    }
+
+    fn deployment_of(
+        nservers: usize,
+        window_us: u64,
+        linger_us: u64,
+    ) -> (Arc<BatchingTransport<Echo>>, Vec<Arc<Echo>>, StatsRegistry) {
         let reg = StatsRegistry::new();
-        let srv = Arc::new(Echo {
-            calls: AtomicU64::new(0),
-        });
+        let servers: Vec<Arc<Echo>> = (0..nservers)
+            .map(|_| {
+                Arc::new(Echo {
+                    calls: AtomicU64::new(0),
+                    frames: Mutex::new(Vec::new()),
+                })
+            })
+            .collect();
         let inner = Arc::new(DirectTransport::new(
-            vec![Arc::clone(&srv)],
+            servers.clone(),
             NetworkModel::free(reg.clone()),
             reg.clone(),
         ));
@@ -316,7 +357,7 @@ mod tests {
             },
             &reg,
         ));
-        (t, srv, reg)
+        (t, servers, reg)
     }
 
     #[test]
@@ -378,6 +419,74 @@ mod tests {
         // Both logical requests travelled in one frame.
         assert_eq!(reg.counter("rpc.batched_requests").get(), 2);
         assert_eq!(srv.calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn crossing_rounds_on_two_servers_both_finish() {
+        // Round A asks servers 0 then 1, round B servers 1 then 0.  While
+        // the test holds server 1's queue, B starts and waits for it, then
+        // A leads server 0 and waits for it too.  Released, B (the first
+        // waiter) leads server 1 and parks behind A on server 0, and A parks
+        // behind B on server 1: each round follows the other.  Both finish
+        // only because a round ships what it leads before it waits for what
+        // it follows.  The pauses only order the arrivals; the final
+        // assertion checks that the rounds really crossed.
+        let (t, servers, reg) = deployment_of(2, 2_000, 0);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(5));
+        for i in 0..10u64 {
+            let gate = t.queues[1].lock();
+            let mut rounds = Vec::new();
+            for (first, second, base) in [(1, 0, 200), (0, 1, 0)] {
+                let (t, done_tx) = (Arc::clone(&t), done_tx.clone());
+                rounds.push(std::thread::spawn(move || {
+                    let out = t.call_round(vec![
+                        (first, vec![base + i]),
+                        (second, vec![base + 100 + i]),
+                    ]);
+                    let _ = done_tx.send(out.into_iter().collect::<Result<Vec<_>>>());
+                }));
+                pause();
+            }
+            drop(gate);
+            for _ in 0..2 {
+                let out = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .expect("crossing rounds deadlocked");
+                assert_eq!(out.expect("both requests answered").len(), 2);
+            }
+            for round in rounds {
+                round.join().expect("round thread panicked");
+            }
+        }
+        // At least one frame coalesced both rounds' requests, and in at
+        // least one the frame of server 1 was led by round B while round A
+        // led server 0's: the rounds crossed.
+        assert!(reg.counter("rpc.batches").get() > 0);
+        let framed = |s: usize, frame: Vec<u64>| servers[s].frames.lock().contains(&frame);
+        let crossed = (0..10u64).any(|i| {
+            framed(0, vec![TAG, 1, i, 1, 300 + i]) && framed(1, vec![TAG, 1, 200 + i, 1, 100 + i])
+        });
+        assert!(crossed, "the rounds never crossed");
+    }
+
+    #[test]
+    fn a_round_leads_every_idle_server_in_one_inner_round() {
+        let (t, servers, reg) = deployment_of(3, 0, 0);
+        let out = t.call_round(vec![(2, vec![2]), (0, vec![0]), (9, vec![9])]);
+        assert_eq!(out[0].as_ref().unwrap(), &vec![2]);
+        assert_eq!(out[1].as_ref().unwrap(), &vec![0]);
+        assert!(
+            out[2].is_err(),
+            "an unknown server fails only its own entry"
+        );
+        let calls: Vec<u64> = servers
+            .iter()
+            .map(|s| s.calls.load(Ordering::SeqCst))
+            .collect();
+        assert_eq!(calls, vec![1, 0, 1]);
+        assert_eq!(reg.counter("rpc.batch_solo").get(), 2);
+        assert_eq!(reg.counter("rpc.calls").get(), 2);
     }
 
     #[test]

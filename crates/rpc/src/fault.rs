@@ -8,6 +8,9 @@
 //! counts), so fault injection composes with both [`crate::DirectTransport`]
 //! and [`crate::ThreadedTransport`] and with the [`crate::NetworkModel`].
 //!
+//! Faults are drawn per message.  A round of requests (see
+//! [`Transport::call_round`]) draws each message's faults in turn, then
+//! sends the messages that survive to the inner transport as one round.
 //! Fault semantics over a synchronous request/response transport:
 //!
 //! * **drop request** — the message never reaches the server; the caller
@@ -16,12 +19,14 @@
 //!   lost; the caller observes [`Error::Timeout`] even though the operation
 //!   *was* applied.  This is the case that exercises server-side
 //!   deduplication of retried non-idempotent operations.
-//! * **duplicate** — the message is delivered twice back-to-back (a model of
-//!   a retransmission racing the original); the caller sees the first
-//!   response, the duplicate's response is discarded.
+//! * **duplicate** — the message is delivered twice: the copy goes out right
+//!   after the round that carried the original (a model of a retransmission
+//!   racing it); the caller sees the first response, the duplicate's
+//!   response is discarded.
 //! * **transient error** — the connection fails before the message is sent;
 //!   the caller observes [`Error::Unavailable`] and may retry immediately.
-//! * **delay** — the call sleeps for a bounded random time before delivery.
+//! * **delay** — the message waits a bounded random time before delivery; a
+//!   round sleeps its largest drawn delay once.
 //! * **crash** — the server stops accepting requests ([`Error::Unavailable`]
 //!   on every call) until [`FaultyTransport::restart`] is called or a
 //!   scripted restart triggers.  By default the store behind the transport
@@ -52,10 +57,10 @@ use crate::transport::{Service, Transport};
 /// coin flips) with scripted ones (crash after the n-th delivered request).
 ///
 /// All probabilities are in `[0, 1]` and are evaluated independently per
-/// call in a fixed order: transient error, then drop-request, then delay,
+/// message in a fixed order: transient error, then drop-request, then delay,
 /// then duplicate, then drop-response.  A plan with every probability at
 /// zero and no scripted crash injects nothing and costs two atomic loads
-/// per call.
+/// per message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for this server's fault generator.  The same `(seed, server)`
@@ -217,6 +222,12 @@ impl FaultCounters {
             crash_reject: registry.counter("rpc.fault.crash_reject"),
         }
     }
+
+    /// Counts one injected fault of the given kind.
+    fn hit(&self, kind: &Counter) {
+        kind.inc();
+        self.injected.inc();
+    }
 }
 
 /// A [`Transport`] decorator that injects faults per [`FaultPlan`].
@@ -268,8 +279,7 @@ where
         if let Some(st) = self.states.get(server) {
             if !st.crashed.swap(true, Ordering::SeqCst) {
                 st.rejected_while_down.store(0, Ordering::SeqCst);
-                self.counters.crash.inc();
-                self.counters.injected.inc();
+                self.counters.hit(&self.counters.crash);
             }
         }
     }
@@ -283,15 +293,25 @@ where
     /// does not wipe the server.
     pub fn restart(&self, server: ServerId) {
         if let Some(st) = self.states.get(server) {
-            let hook = st.restart_hook.lock();
-            if st.crashed.load(Ordering::SeqCst) {
-                if st.plan.lock().amnesia {
-                    if let Some(h) = hook.as_ref() {
-                        h();
-                    }
+            Self::revive(st);
+            st.rejected_while_down.store(0, Ordering::SeqCst);
+            st.delivered.store(0, Ordering::SeqCst);
+        }
+    }
+
+    /// Brings a crashed server back up, running its restart hook first
+    /// under an amnesia plan, and starts its scripted-crash counters over.
+    /// The hook lock serialises racing restarts; the re-check makes the
+    /// losers find the server already up.
+    fn revive(st: &FaultState) {
+        let hook = st.restart_hook.lock();
+        if st.crashed.load(Ordering::SeqCst) {
+            if st.plan.lock().amnesia {
+                if let Some(h) = hook.as_ref() {
+                    h();
                 }
-                st.crashed.store(false, Ordering::SeqCst);
             }
+            st.crashed.store(false, Ordering::SeqCst);
             st.rejected_while_down.store(0, Ordering::SeqCst);
             st.delivered.store(0, Ordering::SeqCst);
         }
@@ -383,12 +403,51 @@ where
         if let Some(n) = crash_at {
             if delivered >= n && !st.crashed.swap(true, Ordering::SeqCst) {
                 st.rejected_while_down.store(0, Ordering::SeqCst);
-                self.counters.crash.inc();
-                self.counters.injected.inc();
+                self.counters.hit(&self.counters.crash);
                 return true;
             }
         }
         false
+    }
+
+    /// The pre-delivery half of one message's faults, in schedule order: a
+    /// crashed server rejects it (or, on its scripted restart count, comes
+    /// back up and lets it through), then a transient error or a dropped
+    /// request stops it.  A message that gets through returns the rest of
+    /// its decisions: delay, duplicate and dropped response.
+    fn admit(&self, server: ServerId) -> Result<Decisions> {
+        let c = &self.counters;
+        let st = self
+            .states
+            .get(server)
+            .ok_or_else(|| Error::ServerUnavailable(format!("no server {server}")))?;
+        if st.crashed.load(Ordering::SeqCst) {
+            let rejected = st.rejected_while_down.fetch_add(1, Ordering::SeqCst) + 1;
+            let restart_at = st.plan.lock().restart_after_rejects;
+            if restart_at.is_none_or(|n| rejected < n) {
+                c.hit(&c.crash_reject);
+                return Err(Error::Unavailable(format!("server {server} is down")));
+            }
+            // Scripted recovery: this message goes through.
+            Self::revive(st);
+        }
+        let d = self.draw(st);
+        if d.transient {
+            c.hit(&c.transient);
+            return Err(Error::Unavailable(format!(
+                "transient fault talking to server {server}"
+            )));
+        }
+        if d.drop_request {
+            c.hit(&c.drop_request);
+            return Err(Error::Timeout(format!(
+                "request to server {server} dropped"
+            )));
+        }
+        if d.delay_us > 0 {
+            c.hit(&c.delay);
+        }
+        Ok(d)
     }
 }
 
@@ -396,104 +455,73 @@ impl<S: Service> Transport<S> for FaultyTransport<S>
 where
     S::Request: Clone,
 {
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
-        let Some(st) = self.states.get(server) else {
-            // Unknown server: let the inner transport produce its usual error.
-            return self.inner.call(server, req);
+    /// Draws every message's faults, sleeps the largest drawn delay once,
+    /// and sends the surviving messages to the inner transport as one
+    /// round.  Then each delivery is recorded (a scripted crash loses its
+    /// response) and drawn response drops are applied.  Duplicates go out
+    /// as a second round after the first; their responses are discarded,
+    /// as a retransmission racing the original's would be.
+    fn call_round(&self, reqs: Vec<(ServerId, S::Request)>) -> Vec<Result<S::Response>> {
+        let c = &self.counters;
+        let mut out: Vec<Option<Result<S::Response>>> = Vec::with_capacity(reqs.len());
+        let (mut admitted, mut wire, mut delay_us) = (Vec::new(), Vec::new(), 0);
+        for (i, (server, req)) in reqs.into_iter().enumerate() {
+            match self.admit(server) {
+                Ok(d) => {
+                    delay_us = delay_us.max(d.delay_us);
+                    let dup = d.duplicate.then(|| req.clone());
+                    out.push(None);
+                    admitted.push((i, server, d.drop_response, dup));
+                    wire.push((server, req));
+                }
+                Err(e) => out.push(Some(Err(e))),
+            }
+        }
+        if delay_us > 0 {
+            std::thread::sleep(std::time::Duration::from_micros(delay_us));
+        }
+        let resps = if wire.is_empty() {
+            Vec::new()
+        } else {
+            self.inner.call_round(wire)
         };
-
-        if st.crashed.load(Ordering::SeqCst) {
-            let rejected = st.rejected_while_down.fetch_add(1, Ordering::SeqCst) + 1;
-            let (restart_at, amnesia) = {
-                let plan = st.plan.lock();
-                (plan.restart_after_rejects, plan.amnesia)
-            };
-            match restart_at {
-                Some(n) if rejected >= n => {
-                    // Scripted recovery: this call goes through.  The hook
-                    // lock serialises racing restarts; the re-check makes
-                    // the losers find the server already up.
-                    let hook = st.restart_hook.lock();
-                    if st.crashed.load(Ordering::SeqCst) {
-                        if amnesia {
-                            if let Some(h) = hook.as_ref() {
-                                h();
-                            }
-                        }
-                        st.crashed.store(false, Ordering::SeqCst);
-                        st.rejected_while_down.store(0, Ordering::SeqCst);
-                        st.delivered.store(0, Ordering::SeqCst);
-                    }
+        let mut dups = Vec::new();
+        for ((i, server, drop_response, dup), resp) in admitted.into_iter().zip(resps) {
+            let st = &self.states[server];
+            out[i] = Some(resp.and_then(|resp| {
+                let crashed_now = self.note_delivery(st);
+                if let Some(dup) = dup.filter(|_| !st.crashed.load(Ordering::SeqCst)) {
+                    c.hit(&c.duplicate);
+                    dups.push((server, dup));
                 }
-                _ => {
-                    self.counters.crash_reject.inc();
-                    self.counters.injected.inc();
-                    return Err(Error::Unavailable(format!("server {server} is down")));
+                if crashed_now {
+                    Err(Error::Timeout(format!(
+                        "server {server} crashed before responding"
+                    )))
+                } else if drop_response {
+                    c.hit(&c.drop_response);
+                    Err(Error::Timeout(format!(
+                        "response from server {server} dropped"
+                    )))
+                } else {
+                    Ok(resp)
                 }
+            }));
+        }
+        if !dups.is_empty() {
+            let servers: Vec<ServerId> = dups.iter().map(|&(server, _)| server).collect();
+            let _ = self.inner.call_round(dups);
+            for server in servers {
+                self.note_delivery(&self.states[server]);
             }
         }
-
-        let d = self.draw(st);
-
-        if d.transient {
-            self.counters.transient.inc();
-            self.counters.injected.inc();
-            return Err(Error::Unavailable(format!(
-                "transient fault talking to server {server}"
-            )));
-        }
-        if d.drop_request {
-            self.counters.drop_request.inc();
-            self.counters.injected.inc();
-            return Err(Error::Timeout(format!(
-                "request to server {server} dropped"
-            )));
-        }
-        if d.delay_us > 0 {
-            self.counters.delay.inc();
-            self.counters.injected.inc();
-            std::thread::sleep(std::time::Duration::from_micros(d.delay_us));
-        }
-
-        let dup_req = if d.duplicate { Some(req.clone()) } else { None };
-        let resp = self.inner.call(server, req)?;
-        let crashed_now = self.note_delivery(st);
-
-        if let Some(dup) = dup_req {
-            if !st.crashed.load(Ordering::SeqCst) {
-                self.counters.duplicate.inc();
-                self.counters.injected.inc();
-                // The duplicate's response is discarded, as a retransmission
-                // racing the original would be.
-                let _ = self.inner.call(server, dup);
-                self.note_delivery(st);
-            }
-        }
-
-        if crashed_now {
-            return Err(Error::Timeout(format!(
-                "server {server} crashed before responding"
-            )));
-        }
-        if d.drop_response {
-            self.counters.drop_response.inc();
-            self.counters.injected.inc();
-            return Err(Error::Timeout(format!(
-                "response from server {server} dropped"
-            )));
-        }
-        Ok(resp)
+        out.into_iter()
+            .map(|r| r.expect("every message of the round was answered"))
+            .collect()
     }
 
     fn num_servers(&self) -> usize {
         self.inner.num_servers()
-    }
-
-    fn fanout_profitable(&self) -> bool {
-        // Injected delays, retry backoffs, and crash-reject stalls all eat
-        // wall-clock time that independent calls can overlap — and chaos
-        // tests deliberately want the parallel coordinator paths exercised.
-        true
     }
 }
 
@@ -785,6 +813,84 @@ mod tests {
         };
         // Same seed, different server id: schedules must differ.
         assert_ne!(seq(0), seq(1));
+    }
+
+    /// One round to three servers, with `plan` on server 1 only.
+    fn round_with_plan_on_server_1(plan: FaultPlan) -> (Vec<Result<u64>>, Vec<u64>) {
+        let (servers, t, _) = make(3, vec![FaultPlan::healthy(), plan]);
+        let out = t.call_round(vec![(0, 10), (1, 20), (2, 30)]);
+        let handled = servers
+            .iter()
+            .map(|s| s.handled.load(Ordering::SeqCst))
+            .collect();
+        (out, handled)
+    }
+
+    #[test]
+    fn a_round_draws_faults_per_message() {
+        let ok = |r: &Result<u64>, v: u64| matches!(r, Ok(x) if *x == v);
+        let timeout = |r: &Result<u64>| matches!(r, Err(Error::Timeout(_)));
+
+        let (out, handled) = round_with_plan_on_server_1(FaultPlan {
+            drop_request: 1.0,
+            ..FaultPlan::healthy()
+        });
+        assert!(
+            ok(&out[0], 11) && timeout(&out[1]) && ok(&out[2], 31),
+            "{out:?}"
+        );
+        assert_eq!(handled, vec![1, 0, 1]);
+
+        let (out, handled) = round_with_plan_on_server_1(FaultPlan {
+            drop_response: 1.0,
+            ..FaultPlan::healthy()
+        });
+        assert!(
+            ok(&out[0], 11) && timeout(&out[1]) && ok(&out[2], 31),
+            "{out:?}"
+        );
+        assert_eq!(handled, vec![1, 1, 1], "the request was delivered");
+
+        let (out, handled) = round_with_plan_on_server_1(FaultPlan {
+            duplicate: 1.0,
+            ..FaultPlan::healthy()
+        });
+        assert!(
+            ok(&out[0], 11) && ok(&out[1], 21) && ok(&out[2], 31),
+            "{out:?}"
+        );
+        assert_eq!(handled, vec![1, 2, 1], "the duplicate was delivered too");
+    }
+
+    #[test]
+    fn a_crashed_server_fails_only_its_own_entry_of_a_round() {
+        let (servers, t, _) = make(3, vec![]);
+        t.crash(1);
+        let out = t.call_round(vec![(0, 10), (1, 20), (2, 30)]);
+        assert!(matches!(out[0], Ok(11)), "{out:?}");
+        assert!(matches!(out[1], Err(Error::Unavailable(_))), "{out:?}");
+        assert!(matches!(out[2], Ok(31)), "{out:?}");
+        assert_eq!(servers[1].handled.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_round_sleeps_its_largest_delay_once() {
+        let plan = FaultPlan {
+            delay: 1.0,
+            delay_us: (200_000, 200_000),
+            ..FaultPlan::healthy()
+        };
+        let (_, t, reg) = make(3, vec![plan.clone(), plan.clone(), plan]);
+        let t0 = std::time::Instant::now();
+        let out = t.call_round(vec![(0, 1), (1, 1), (2, 1)]);
+        let elapsed = t0.elapsed();
+        assert!(out.iter().all(|r| matches!(r, Ok(2))), "{out:?}");
+        assert_eq!(reg.counter("rpc.fault.delay").get(), 3);
+        assert!(elapsed >= std::time::Duration::from_millis(200));
+        assert!(
+            elapsed < std::time::Duration::from_millis(600),
+            "three 200 ms delays were slept in turn: {elapsed:?}"
+        );
     }
 
     #[test]

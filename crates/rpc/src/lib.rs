@@ -16,7 +16,7 @@
 //!   or actually slept (for closed-loop latency experiments), and
 //! * per-server load metrics used by the load-balancing experiments.
 //!
-//! Substitution note (see DESIGN.md): replacing real machines with in-process
+//! Substitution note: replacing real machines with in-process
 //! shards preserves everything the paper's evaluation measures about the
 //! *algorithms* — RPC counts per operation, contention on hot nodes, load
 //! imbalance across servers, scalability with the number of servers — while

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use yesquel_common::stats::StatsRegistry;
+use yesquel_common::stats::{Counter, StatsRegistry};
 use yesquel_common::NetConfig;
 
 /// Shared network cost model; cheap to clone.
@@ -25,7 +25,8 @@ struct Inner {
     cfg: NetConfig,
     simulated_us: AtomicU64,
     messages: AtomicU64,
-    registry: StatsRegistry,
+    /// `net.charged_us`, resolved once: every charged RPC adds to it.
+    charged_us: Arc<Counter>,
 }
 
 impl NetworkModel {
@@ -36,7 +37,7 @@ impl NetworkModel {
                 cfg,
                 simulated_us: AtomicU64::new(0),
                 messages: AtomicU64::new(0),
-                registry,
+                charged_us: registry.counter("net.charged_us"),
             }),
         }
     }
@@ -59,21 +60,35 @@ impl NetworkModel {
     }
 
     /// Charges a full request/response round trip and returns the charged
-    /// microseconds.  If the model is configured to sleep, the calling
-    /// thread sleeps for that long, so closed-loop clients observe the
-    /// modelled latency.
+    /// microseconds: a one-exchange [`charge_round`](Self::charge_round).
     pub fn charge_round_trip(&self, req_bytes: usize, resp_bytes: usize) -> u64 {
-        let us = self.one_way_cost_us(req_bytes) + self.one_way_cost_us(resp_bytes);
-        self.inner.messages.fetch_add(2, Ordering::Relaxed);
-        if us == 0 {
+        self.charge_round(&[(req_bytes, resp_bytes)])
+    }
+
+    /// Charges a round of request/response exchanges that are in flight
+    /// together, given as `(request bytes, response bytes)` pairs.  Every
+    /// message is counted and its cost accounted in simulated time, but the
+    /// round only takes as long as its slowest exchange: that round trip is
+    /// returned and, if the model is configured to sleep, slept once, so
+    /// closed-loop clients observe the modelled latency.
+    pub fn charge_round(&self, exchanges: &[(usize, usize)]) -> u64 {
+        let (mut total, mut slowest) = (0, 0);
+        for &(req_bytes, resp_bytes) in exchanges {
+            let us = self.one_way_cost_us(req_bytes) + self.one_way_cost_us(resp_bytes);
+            total += us;
+            slowest = slowest.max(us);
+        }
+        let messages = 2 * exchanges.len() as u64;
+        self.inner.messages.fetch_add(messages, Ordering::Relaxed);
+        if total == 0 {
             return 0;
         }
-        self.inner.simulated_us.fetch_add(us, Ordering::Relaxed);
-        self.inner.registry.counter("net.charged_us").add(us);
+        self.inner.simulated_us.fetch_add(total, Ordering::Relaxed);
+        self.inner.charged_us.add(total);
         if self.inner.cfg.sleep_latency {
-            std::thread::sleep(Duration::from_micros(us));
+            std::thread::sleep(Duration::from_micros(slowest));
         }
-        us
+        slowest
     }
 
     /// Total simulated network time charged so far, in microseconds.
@@ -113,6 +128,26 @@ mod tests {
         let rt = m.charge_round_trip(1000, 0);
         assert_eq!(rt, 60 + 50);
         assert_eq!(m.simulated_us(), 110);
+    }
+
+    #[test]
+    fn a_round_counts_every_message_but_takes_its_slowest_exchange() {
+        let cfg = NetConfig {
+            one_way_latency_us: 50,
+            bytes_per_us: 100,
+            sleep_latency: false,
+            service_time_us: 0,
+        };
+        let reg = StatsRegistry::new();
+        let m = NetworkModel::new(cfg, reg.clone());
+        // Round trips of 100, 110 and 150 us.
+        let slowest = m.charge_round(&[(0, 0), (1000, 0), (3000, 2000)]);
+        assert_eq!(slowest, 150);
+        assert_eq!(m.simulated_us(), 100 + 110 + 150);
+        assert_eq!(m.messages(), 6);
+        assert_eq!(reg.counter("net.charged_us").get(), 360);
+        assert_eq!(m.charge_round(&[]), 0);
+        assert_eq!(m.messages(), 6);
     }
 
     #[test]

@@ -1,8 +1,18 @@
 //! RPC transports: how a client request reaches a storage server.
+//!
+//! The primitive is a *round*: a batch of requests, each to one server, that
+//! the transport sends before it waits for any reply
+//! ([`Transport::call_round`]).  A two-phase commit's prepares, its
+//! secondary commits and its aborts are rounds, so a round over several
+//! servers costs its slowest request rather than the sum; a single call is
+//! a round of one.  Each transport overlaps a round its own way:
+//! [`DirectTransport`] runs the requests back to back and charges the
+//! network once, for the slowest round trip; [`ThreadedTransport`] enqueues
+//! every request with its server's workers before it receives any reply.
 
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use yesquel_common::obs::clock;
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::{Error, Result, ServerId};
@@ -51,26 +61,24 @@ pub enum TransportKind {
 
 /// A connection from clients to every server of the cluster.
 pub trait Transport<S: Service>: Send + Sync {
-    /// Sends `req` to server `server` and waits for its response.
+    /// Sends every request of the round to its server before waiting for
+    /// any response, and returns one result per request, in request order.
     ///
-    /// Every call counts as one RPC round trip for the network model.
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response>;
+    /// Every request counts as one RPC round trip for the network model;
+    /// the round takes as long as the slowest of them.
+    fn call_round(&self, reqs: Vec<(ServerId, S::Request)>) -> Vec<Result<S::Response>>;
+
+    /// Sends `req` to server `server` and waits for its response: a round
+    /// of one.  A transport may serve it through the same per-request steps
+    /// as its rounds, without building the round's vectors.
+    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
+        self.call_round(vec![(server, req)])
+            .pop()
+            .expect("a round answers every request")
+    }
 
     /// Number of servers reachable through this transport.
     fn num_servers(&self) -> usize;
-
-    /// Whether issuing independent calls from several threads can finish
-    /// sooner than issuing them back to back on one thread.  False for a
-    /// transport whose `call` is a plain synchronous function call (nothing
-    /// overlaps, and spawning threads only adds overhead); true when calls
-    /// spend wall-clock time blocked — on server worker queues, slept
-    /// network latency, or injected faults and retry backoffs.  The 2PC
-    /// coordinator consults this under [`CommitFanout::Auto`].
-    ///
-    /// [`CommitFanout::Auto`]: yesquel_common::CommitFanout::Auto
-    fn fanout_profitable(&self) -> bool {
-        false
-    }
 }
 
 /// Book-keeping shared by both transports.
@@ -118,14 +126,39 @@ impl TransportStats {
         self.registry.obs().timing_on()
     }
 
-    fn record(&self, server: ServerId, req_bytes: usize, resp_bytes: usize, net: &NetworkModel) {
+    /// Counts one request of `req_bytes` answered with `resp_bytes`.
+    fn record(&self, server: ServerId, req_bytes: usize, resp_bytes: usize) {
         self.calls.inc();
         self.bytes_sent.add(req_bytes as u64);
         self.bytes_received.add(resp_bytes as u64);
         if let Some(c) = self.per_server_requests.get(server) {
             c.inc();
         }
-        let lat = net.charge_round_trip(req_bytes, resp_bytes);
+    }
+
+    /// Collects a round's per-request outcomes — each response with its
+    /// `(request, response)` wire sizes — and charges the round.
+    fn finish_round<R>(
+        &self,
+        net: &NetworkModel,
+        outcomes: impl Iterator<Item = Result<(R, (usize, usize))>>,
+    ) -> Vec<Result<R>> {
+        let mut exchanges = Vec::with_capacity(outcomes.size_hint().0);
+        let out = outcomes
+            .map(|outcome| {
+                let (resp, sizes) = outcome?;
+                exchanges.push(sizes);
+                Ok(resp)
+            })
+            .collect();
+        self.charge(net, &exchanges);
+        out
+    }
+
+    /// Charges a round's exchanges to the network model (see
+    /// [`NetworkModel::charge_round`]).
+    fn charge(&self, net: &NetworkModel, exchanges: &[(usize, usize)]) {
+        let lat = net.charge_round(exchanges);
         if lat > 0 {
             self.simulated_latency_us.record(lat);
         }
@@ -161,8 +194,10 @@ impl<S: Service> DirectTransport<S> {
     }
 }
 
-impl<S: Service> Transport<S> for DirectTransport<S> {
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
+impl<S: Service> DirectTransport<S> {
+    /// Runs one request on its server object and counts it; returns the
+    /// response with the exchange's `(request, response)` wire sizes.
+    fn serve(&self, server: ServerId, req: S::Request) -> Result<(S::Response, (usize, usize))> {
         let srv = self
             .servers
             .get(server)
@@ -174,20 +209,30 @@ impl<S: Service> Transport<S> for DirectTransport<S> {
             self.stats.service_us.record(clock::elapsed_us(t0));
         }
         let resp_bytes = S::response_wire_size(&resp);
-        self.stats.record(server, req_bytes, resp_bytes, &self.net);
+        self.stats.record(server, req_bytes, resp_bytes);
+        Ok((resp, (req_bytes, resp_bytes)))
+    }
+}
+
+impl<S: Service> Transport<S> for DirectTransport<S> {
+    /// Runs the requests one after another on the caller's thread, then
+    /// charges the network once for the whole round.
+    fn call_round(&self, reqs: Vec<(ServerId, S::Request)>) -> Vec<Result<S::Response>> {
+        let outcomes = reqs
+            .into_iter()
+            .map(|(server, req)| self.serve(server, req));
+        self.stats.finish_round(&self.net, outcomes)
+    }
+
+    /// A round of one, without the round's vectors.
+    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
+        let (resp, sizes) = self.serve(server, req)?;
+        self.stats.charge(&self.net, &[sizes]);
         Ok(resp)
     }
 
     fn num_servers(&self) -> usize {
         self.servers.len()
-    }
-
-    fn fanout_profitable(&self) -> bool {
-        // Direct calls only overlap when each one actually sleeps the
-        // modelled latency; otherwise they are pure CPU and parallel fan-out
-        // would just pay thread handoffs.
-        let cfg = self.net.config();
-        cfg.sleep_latency && cfg.one_way_latency_us > 0
     }
 }
 
@@ -292,8 +337,15 @@ impl<S: Service> ThreadedTransport<S> {
     }
 }
 
-impl<S: Service> Transport<S> for ThreadedTransport<S> {
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
+impl<S: Service> ThreadedTransport<S> {
+    /// Enqueues one request with its server's workers; returns what
+    /// [`receive`](Self::receive) needs to collect the reply.
+    fn send(
+        &self,
+        server: ServerId,
+        req: S::Request,
+        timing: bool,
+    ) -> Result<(ServerId, usize, Receiver<S::Response>)> {
         let q = self
             .queues
             .get(server)
@@ -303,25 +355,50 @@ impl<S: Service> Transport<S> for ThreadedTransport<S> {
         q.send(Envelope {
             req,
             reply: reply_tx,
-            enqueued_at: self.stats.timing_on().then(clock::now),
+            enqueued_at: timing.then(clock::now),
         })
         .map_err(|_| Error::ServerUnavailable(format!("server {server} shut down")))?;
+        Ok((server, req_bytes, reply_rx))
+    }
+
+    /// Waits for one request's reply and counts the exchange.
+    fn receive(
+        &self,
+        (server, req_bytes, reply_rx): (ServerId, usize, Receiver<S::Response>),
+    ) -> Result<(S::Response, (usize, usize))> {
         let resp = reply_rx
             .recv()
             .map_err(|_| Error::ServerUnavailable(format!("server {server} dropped request")))?;
         let resp_bytes = S::response_wire_size(&resp);
-        self.stats.record(server, req_bytes, resp_bytes, &self.net);
+        self.stats.record(server, req_bytes, resp_bytes);
+        Ok((resp, (req_bytes, resp_bytes)))
+    }
+}
+
+impl<S: Service> Transport<S> for ThreadedTransport<S> {
+    /// Enqueues every request with its server's workers, then receives the
+    /// replies in request order: the servers work on the round concurrently
+    /// while the caller waits.
+    fn call_round(&self, reqs: Vec<(ServerId, S::Request)>) -> Vec<Result<S::Response>> {
+        let timing = self.stats.timing_on();
+        let in_flight: Vec<_> = reqs
+            .into_iter()
+            .map(|(server, req)| self.send(server, req, timing))
+            .collect();
+        let outcomes = in_flight.into_iter().map(|sent| self.receive(sent?));
+        self.stats.finish_round(&self.net, outcomes)
+    }
+
+    /// A round of one, without the round's vectors.
+    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
+        let sent = self.send(server, req, self.stats.timing_on())?;
+        let (resp, sizes) = self.receive(sent)?;
+        self.stats.charge(&self.net, &[sizes]);
         Ok(resp)
     }
 
     fn num_servers(&self) -> usize {
         self.queues.len()
-    }
-
-    fn fanout_profitable(&self) -> bool {
-        // Calls block on per-server worker queues, so independent requests
-        // to different servers genuinely proceed in parallel.
-        true
     }
 }
 
@@ -379,6 +456,73 @@ mod tests {
         assert_eq!(reg.counter("rpc.calls").get(), 100);
         let per = t.per_server_request_counts();
         assert_eq!(per.iter().sum::<u64>(), 100);
+    }
+
+    #[test]
+    fn a_direct_round_answers_in_request_order_and_charges_once() {
+        let reg = StatsRegistry::new();
+        let net = NetConfig {
+            one_way_latency_us: 50,
+            ..NetConfig::default()
+        };
+        let t = DirectTransport::new(servers(3), NetworkModel::new(net, reg.clone()), reg.clone());
+        let out = t.call_round(vec![(2, 20), (7, 0), (0, 10)]);
+        assert!(matches!(out[0], Ok(21)), "{out:?}");
+        assert!(
+            out[1].is_err(),
+            "an unknown server fails only its own entry"
+        );
+        assert!(matches!(out[2], Ok(11)), "{out:?}");
+        assert_eq!(reg.counter("rpc.calls").get(), 2);
+        assert_eq!(reg.counter("net.charged_us").get(), 200);
+        // One round, one latency observation: its slowest round trip.
+        let lat = reg.histogram("rpc.simulated_latency_us");
+        assert_eq!((lat.count(), lat.max()), (1, 100));
+    }
+
+    /// A server whose every request waits until `expected` requests, over
+    /// all servers sharing the gate, have arrived.  Answers whether they
+    /// all did within five seconds.
+    struct Rendezvous {
+        gate: Arc<(std::sync::Mutex<usize>, std::sync::Condvar)>,
+        expected: usize,
+    }
+
+    impl Service for Rendezvous {
+        type Request = ();
+        type Response = bool;
+        fn call(&self, _req: ()) -> bool {
+            let (arrived, all_here) = &*self.gate;
+            let mut n = arrived.lock().unwrap();
+            *n += 1;
+            all_here.notify_all();
+            let (_n, wait) = all_here
+                .wait_timeout_while(n, std::time::Duration::from_secs(5), |n| *n < self.expected)
+                .unwrap();
+            !wait.timed_out()
+        }
+    }
+
+    #[test]
+    fn a_threaded_round_is_in_flight_at_every_server_at_once() {
+        const N: usize = 4;
+        let gate = Arc::new((std::sync::Mutex::new(0), std::sync::Condvar::new()));
+        let servers = (0..N)
+            .map(|_| {
+                Arc::new(Rendezvous {
+                    gate: Arc::clone(&gate),
+                    expected: N,
+                })
+            })
+            .collect();
+        let reg = StatsRegistry::new();
+        let t = ThreadedTransport::new(servers, 1, NetworkModel::free(reg.clone()), reg.clone());
+        // A serial round would leave server 0 waiting alone until its
+        // timeout, and answer `false`.
+        let out = t.call_round((0..N).map(|s| (s, ())).collect());
+        assert_eq!(out.len(), N);
+        assert!(out.iter().all(|r| matches!(r, Ok(true))), "{out:?}");
+        assert_eq!(t.per_server_request_counts(), vec![1; N]);
     }
 
     #[test]

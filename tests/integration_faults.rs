@@ -213,7 +213,7 @@ fn server_crash_between_prepare_and_commit_resolves_to_abort() {
     assert!(faults.is_crashed(1));
 
     // The crashed server still holds the prepared transaction — the abort
-    // fan-out could not reach it.
+    // round could not reach it.
     assert_eq!(db.prepared_total(), 1, "orphan pending recovery");
 
     // Restart healthy (the scripted crash plan would otherwise re-fire on

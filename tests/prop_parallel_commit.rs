@@ -1,11 +1,12 @@
-//! Seeded chaos test of the **parallel** 2PC prepare fan-out with request
-//! batching enabled: four client threads run concurrent multi-server write
+//! Seeded chaos test of the 2PC request rounds with request batching
+//! enabled: four client threads run concurrent multi-server write
 //! transactions while a deterministic fault storm (dropped requests and
 //! responses, duplicates, transient errors, delays, one crash-looping
-//! server) batters the transport.  The commit path is forced onto
-//! `CommitFanout::Parallel`, so every multi-participant prepare round and
-//! secondary-commit round is issued from the fan-out pool, and the
-//! batching decorator coalesces whatever collides in its window.
+//! server) batters the transport.  Every multi-participant prepare,
+//! secondary commit and abort goes out as one request round, which the
+//! fault layer splits into per-message faults and the batching decorator
+//! leads or joins server by server, coalescing whatever collides in its
+//! window with the other threads' rounds.
 //!
 //! The safety bar is the same as `prop_chaos_commit`, now under real
 //! concurrency:
@@ -18,8 +19,8 @@
 //!   multiset, the writes of the transactions that actually committed it;
 //! * after healing, the reaper clears every orphaned prepare.
 //!
-//! The test also asserts the new machinery actually engaged: the parallel
-//! fan-out counter and the batched-request counter both moved.
+//! The test also asserts the machinery actually engaged: two-phase commits
+//! ran and requests were coalesced into batch frames.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +28,7 @@ use std::time::Duration;
 
 use rand::Rng;
 use yesquel::common::rand_util::seeded_rng;
-use yesquel::common::{CommitFanout, RpcBatchConfig};
+use yesquel::common::RpcBatchConfig;
 use yesquel::kv::store::TxnOutcome;
 use yesquel::rpc::{FaultPlan, TransportKind};
 use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
@@ -69,7 +70,6 @@ fn storm_case(seed: u64) {
     let mut rng = seeded_rng(seed, 0);
     let mut cfg = YesquelConfig::with_servers(SERVERS);
     cfg.kv = KvConfig::impatient();
-    cfg.kv.commit_fanout = CommitFanout::Parallel;
     cfg.rpc_batch = Some(RpcBatchConfig {
         window_us: 100,
         max_batch: 8,
@@ -99,7 +99,7 @@ fn storm_case(seed: u64) {
                     for i in 0..TXNS_PER_THREAD {
                         // 2-4 keys drawn across the whole pool: with 4
                         // servers nearly every transaction spans several
-                        // participants, forcing the parallel prepare.
+                        // participants, forcing a two-phase commit.
                         let n = rng.gen_range(2..=4u64) as usize;
                         let mut dedup: HashMap<ObjectId, Vec<u8>> = HashMap::new();
                         for j in 0..n {
@@ -151,11 +151,11 @@ fn storm_case(seed: u64) {
         "seed {seed}: the storm never injected anything"
     );
     // The machinery under test must actually have engaged.
-    let fanouts = db.stats().counter("kv.prepare_parallel_fanouts").get();
+    let commits_2pc = db.stats().counter("kv.commit_2pc").get();
     let batched = db.stats().counter("rpc.batched_requests").get();
     assert!(
-        fanouts > 0,
-        "seed {seed}: no prepare round used the parallel fan-out"
+        commits_2pc > 0,
+        "seed {seed}: no transaction ran a two-phase commit"
     );
     assert!(
         batched > 0,
@@ -170,7 +170,7 @@ fn storm_case(seed: u64) {
                 Reported::Committed(_) => (a, m, o + 1),
             });
         eprintln!(
-            "seed {seed}: ok={ok} notapplied={na} maybe={mb} faults={} fanouts={fanouts} batched={batched}",
+            "seed {seed}: ok={ok} notapplied={na} maybe={mb} faults={} commits_2pc={commits_2pc} batched={batched}",
             faults.faults_injected(),
         );
     }
